@@ -27,7 +27,6 @@ mod chaos;
 pub mod controller;
 pub mod entry;
 pub mod ids;
-pub mod live;
 pub mod logic;
 pub mod message;
 pub mod report;
@@ -39,8 +38,8 @@ pub use ids::{ActorId, ActorTypeId, ClientId, FnId};
 pub use logic::{ActorCtx, ActorLogic, ClientCtx, ClientLogic};
 pub use message::{CallerKind, Message};
 pub use plasma_backend::{
-    report_scale_votes, BackendKind, BackendStats, ControlDecision, ControlMsg, ControlQuery,
-    ControlReply, MigrationOrder, ServerReport,
+    BackendKind, BackendStats, ControlDecision, ControlMsg, ControlQuery, ControlReply,
+    MigrationOrder, ServerReport,
 };
 pub use report::{DecisionKind, DecisionRecord, RunReport};
 pub use runtime::{DecommissionError, Runtime, RuntimeConfig};

@@ -43,8 +43,8 @@ pub mod sim;
 pub mod wire;
 
 pub use control::{
-    answer_query, report_scale_votes, ControlDecision, ControlMsg, ControlQuery, ControlReply,
-    MigrationOrder, ServerReport,
+    answer_query, ControlDecision, ControlMsg, ControlQuery, ControlReply, MigrationOrder,
+    ServerReport,
 };
 pub use live::LiveBackend;
 pub use sim::SimBackend;
@@ -360,8 +360,6 @@ mod tests {
             gem: 0,
             round: 1,
             generation: 1,
-            upper_bits: 0.8_f64.to_bits(),
-            lower_bits: 0.2_f64.to_bits(),
             scope: vec![1, 0],
         };
         let mut merged = Vec::new();

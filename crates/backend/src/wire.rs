@@ -237,13 +237,11 @@ impl ServerReport {
 
 impl ControlQuery {
     /// Appends the wire encoding: `gem:u32 round:u64 generation:u64
-    /// upper:u64 lower:u64 n:u32 scope:[u32; n]`.
+    /// n:u32 scope:[u32; n]`.
     pub fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.gem);
         put_u64(out, self.round);
         put_u64(out, self.generation);
-        put_u64(out, self.upper_bits);
-        put_u64(out, self.lower_bits);
         put_u32(out, self.scope.len() as u32);
         for &s in &self.scope {
             put_u32(out, s);
@@ -255,8 +253,6 @@ impl ControlQuery {
         let gem = c.u32()?;
         let round = c.u64()?;
         let generation = c.u64()?;
-        let upper_bits = c.u64()?;
-        let lower_bits = c.u64()?;
         let n = counted(c, 4)?;
         let mut scope = Vec::with_capacity(n);
         for _ in 0..n {
@@ -266,8 +262,6 @@ impl ControlQuery {
             gem,
             round,
             generation,
-            upper_bits,
-            lower_bits,
             scope,
         })
     }
@@ -275,13 +269,11 @@ impl ControlQuery {
 
 impl ControlReply {
     /// Appends the wire encoding: `gem:u32 round:u64 generation:u64
-    /// vote_out:bool vote_in:bool n:u32 candidates:[ServerReport; n]`.
+    /// n:u32 candidates:[ServerReport; n]`.
     pub fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.gem);
         put_u64(out, self.round);
         put_u64(out, self.generation);
-        put_bool(out, self.vote_out);
-        put_bool(out, self.vote_in);
         put_u32(out, self.candidates.len() as u32);
         for cand in &self.candidates {
             cand.wire_encode(out);
@@ -293,8 +285,6 @@ impl ControlReply {
         let gem = c.u32()?;
         let round = c.u64()?;
         let generation = c.u64()?;
-        let vote_out = c.bool()?;
-        let vote_in = c.bool()?;
         let n = counted(c, ServerReport::WIRE_LEN)?;
         let mut candidates = Vec::with_capacity(n);
         for _ in 0..n {
@@ -304,8 +294,6 @@ impl ControlReply {
             gem,
             round,
             generation,
-            vote_out,
-            vote_in,
             candidates,
         })
     }
@@ -462,15 +450,13 @@ mod tests {
             gem: 0,
             round: 1,
             generation: 2,
-            upper_bits: 0,
-            lower_bits: 0,
             scope: vec![1, 2, 3],
         };
         let mut buf = Vec::new();
         q.wire_encode(&mut buf);
         // Inflate the element count far past the buffer: the decoder must
         // reject it without attempting the allocation.
-        let at = 4 + 8 * 4;
+        let at = 4 + 8 * 2;
         buf[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(
             ControlQuery::wire_decode(&mut WireCursor::new(&buf)).unwrap_err(),
@@ -490,10 +476,6 @@ mod tests {
 
         fn u32s() -> std::ops::Range<u32> {
             0..u32::MAX
-        }
-
-        fn bools() -> impl Strategy<Value = bool> {
-            (0u8..2).prop_map(|b| b == 1)
         }
 
         fn arb_report() -> impl Strategy<Value = ServerReport> {
@@ -530,11 +512,9 @@ mod tests {
                 gem in u32s(),
                 round in u64s(),
                 generation in u64s(),
-                upper_bits in u64s(),
-                lower_bits in u64s(),
                 scope in proptest::collection::vec(u32s(), 0..64),
             ) {
-                let q = ControlQuery { gem, round, generation, upper_bits, lower_bits, scope };
+                let q = ControlQuery { gem, round, generation, scope };
                 let mut buf = Vec::new();
                 q.wire_encode(&mut buf);
                 let mut c = WireCursor::new(&buf);
@@ -551,11 +531,9 @@ mod tests {
                 gem in u32s(),
                 round in u64s(),
                 generation in u64s(),
-                vote_out in bools(),
-                vote_in in bools(),
                 candidates in proptest::collection::vec(arb_report(), 0..32),
             ) {
-                let r = ControlReply { gem, round, generation, vote_out, vote_in, candidates };
+                let r = ControlReply { gem, round, generation, candidates };
                 let mut buf = Vec::new();
                 r.wire_encode(&mut buf);
                 let mut c = WireCursor::new(&buf);
@@ -597,8 +575,7 @@ mod tests {
                 frac in 0.0f64..1.0,
             ) {
                 let r = ControlReply {
-                    gem: 1, round: 2, generation: 3,
-                    vote_out: false, vote_in: true, candidates,
+                    gem: 1, round: 2, generation: 3, candidates,
                 };
                 let mut buf = Vec::new();
                 r.wire_encode(&mut buf);

@@ -369,7 +369,6 @@ impl PlasmaEmr {
         let assignment = self.gem_assignment(&scope);
         let gem_count = assignment.len();
         let round_no = self.stats.ticks;
-        let debug = std::env::var_os("PLASMA_EMR_DEBUG").is_some();
         let eval_start = rt.monotonic_ns();
         // Advance the retained frame to this round's snapshot generation by
         // applying the runtime's deltas; fall back to a from-scratch build
@@ -409,8 +408,6 @@ impl PlasmaEmr {
                     gem: gem_idx as u32,
                     round: round_no,
                     generation: frame.generation(),
-                    upper_bits: bounds.upper.to_bits(),
-                    lower_bits: bounds.lower.to_bits(),
                     scope: servers.iter().map(|s| s.0).collect(),
                 };
                 let query_ev = tracer.emit(trace_now, Component::Gem, None, || {
@@ -443,31 +440,14 @@ impl PlasmaEmr {
                     "wire-carried candidates must reproduce the shared-snapshot \
                      rows (round {round_no}, gem {gem_idx})"
                 );
-                let (adv_out, adv_in) = gem::scale_votes(&ctx, bounds);
                 tracer.emit(trace_now, Component::Gem, query_ev, || {
                     TraceEventKind::ControlQueryReply {
                         round: round_no,
                         gem: gem_idx as u32,
                         candidates: merged.len() as u32,
-                        scale_out: adv_out,
-                        scale_in: adv_in,
                     }
                 });
                 consumers += 1;
-                if debug {
-                    for s in &ctx.servers {
-                        eprintln!(
-                            "[emr {}] {:?} cpu={:.2} actors={}",
-                            trace_now, s.id, s.cpu, s.actor_count
-                        );
-                    }
-                    for a in ctx.actors() {
-                        eprintln!(
-                            "[emr]   {:?} on {:?} share={:.3} sent={} pinned={}",
-                            a.actor, a.server, a.cpu_share, a.counters.bytes_sent, a.pinned
-                        );
-                    }
-                }
                 let mut plan = gem::plan(&bound, &ctx, &gem_cfg, &self.reserved_servers);
                 Self::trace_rule_events(
                     &tracer,
@@ -483,17 +463,6 @@ impl PlasmaEmr {
                         scale_in: plan.scale_in_vote,
                     }
                 });
-                if debug {
-                    eprintln!(
-                        "[emr] planned {} actions (out={} in={})",
-                        plan.actions.len(),
-                        plan.scale_out_vote,
-                        plan.scale_in_vote
-                    );
-                    for a in &plan.actions {
-                        eprintln!("[emr]   {a:?}");
-                    }
-                }
                 out_votes += plan.scale_out_vote as usize;
                 in_votes += plan.scale_in_vote as usize;
                 unplaced += plan.unplaced_reserves;
@@ -777,9 +746,6 @@ impl PlasmaEmr {
             let reply_id = reply(accept, reason);
             if !accept {
                 self.stats.rejected += 1;
-                if std::env::var_os("PLASMA_EMR_DEBUG").is_some() {
-                    eprintln!("[emr] reject(admission) {action:?} dst={projected_dst:.2}");
-                }
                 continue;
             }
             match rt.migrate_traced(action.actor, dst, reply_id) {
@@ -812,9 +778,6 @@ impl PlasmaEmr {
                             reason: format!("blocked-{e:?}"),
                         }
                     });
-                    if std::env::var_os("PLASMA_EMR_DEBUG").is_some() {
-                        eprintln!("[emr] reject({e:?}) {action:?}");
-                    }
                 }
             }
         }

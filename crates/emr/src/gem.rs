@@ -179,7 +179,7 @@ pub fn plan(
 /// available server to host additional workload, PLASMA has no choice but
 /// to spawn a new server"). Scale-in fires when every server is under the
 /// lower watermark.
-pub fn scale_votes(ctx: &EvalCtx<'_>, bounds: Bounds) -> (bool, bool) {
+fn scale_votes(ctx: &EvalCtx<'_>, bounds: Bounds) -> (bool, bool) {
     if ctx.servers.is_empty() {
         return (false, false);
     }
@@ -234,12 +234,6 @@ fn plan_balance(
         let src_u = projected[&src.id][ridx];
         let dst_u = projected[&dst.id][ridx];
         let triggered = src_u > bounds.upper || dst_u < bounds.lower;
-        if std::env::var_os("PLASMA_EMR_DEBUG").is_some() {
-            eprintln!(
-                "[gem] balance res={res:?} src={:?}@{src_u:.2} dst={:?}@{dst_u:.2} trig={triggered}",
-                src.id, dst.id
-            );
-        }
         if !triggered || src_u - dst_u < cfg.min_gap {
             break;
         }
@@ -420,21 +414,34 @@ mod tests {
         assert_eq!(b, Bounds::DEFAULT);
     }
 
-    /// The worker-side vote formula (`report_scale_votes`, computed from
-    /// wire-carried report rows) and the GEM's own `scale_votes` are the
-    /// same function under two encodings; this cross-check keeps them from
-    /// drifting apart.
+    /// `scale_votes` over a table of server CPU loads: scale out only when
+    /// some server is over the upper bound and none is idle; scale in only
+    /// when every server is under the lower bound; an empty scope votes
+    /// for neither.
     #[test]
-    fn wire_vote_formula_matches_scale_votes() {
+    fn scale_votes_table() {
         use crate::view::{EvalCtx, EvalFrame, ServerMeta};
-        use plasma_actor::report_scale_votes;
         use plasma_actor::stats::ProfileSnapshot;
         use plasma_cluster::ServerId;
         use std::collections::BTreeMap;
         use std::sync::Arc;
 
-        let metas = |cpus: &[f64]| -> Vec<ServerMeta> {
-            cpus.iter()
+        let bounds = Bounds {
+            upper: 0.8,
+            lower: 0.3,
+        };
+        let cases: [(&[f64], (bool, bool)); 6] = [
+            (&[], (false, false)),
+            (&[0.9], (true, false)),
+            (&[0.9, 0.5], (true, false)),
+            // Over, but another server is idle: rebalance first.
+            (&[0.9, 0.1], (false, false)),
+            (&[0.2, 0.1], (false, true)),
+            (&[0.5, 0.6], (false, false)),
+        ];
+        for (cpus, expected) in cases {
+            let servers: Vec<ServerMeta> = cpus
+                .iter()
                 .enumerate()
                 .map(|(i, &cpu)| ServerMeta {
                     id: ServerId(i as u32),
@@ -447,34 +454,19 @@ mod tests {
                     net: 0.0,
                     actor_count: 0,
                 })
-                .collect()
-        };
-        let bounds = Bounds {
-            upper: 0.8,
-            lower: 0.3,
-        };
-        let cases: [&[f64]; 6] = [
-            &[],
-            &[0.9],
-            &[0.9, 0.5],
-            &[0.9, 0.1],
-            &[0.2, 0.1],
-            &[0.5, 0.6],
-        ];
-        for cpus in cases {
-            let servers = metas(cpus);
-            let reports: Vec<_> = servers.iter().map(|m| m.to_report()).collect();
+                .collect();
+            let scope: Vec<ServerId> = servers.iter().map(|s| s.id).collect();
             let frame = EvalFrame::from_parts(
                 Arc::new(ProfileSnapshot::default()),
                 servers,
                 BTreeMap::new(),
                 BTreeMap::new(),
             );
-            let ctx = EvalCtx::for_reports(&frame, &reports);
+            let ctx = EvalCtx::scoped(&frame, &scope);
             assert_eq!(
                 scale_votes(&ctx, bounds),
-                report_scale_votes(&reports, bounds.upper, bounds.lower),
-                "formulas must agree for cpus {cpus:?}"
+                expected,
+                "votes for cpus {cpus:?}"
             );
         }
     }

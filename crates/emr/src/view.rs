@@ -100,22 +100,6 @@ impl ServerMeta {
             actor_count: r.actor_count as usize,
         }
     }
-
-    /// Encodes this row for the control carriage (the inverse of
-    /// [`ServerMeta::from_report`]; the round trip is bit-identity).
-    pub fn to_report(&self) -> ServerReport {
-        ServerReport {
-            server: self.id.0,
-            vcpus: self.vcpus,
-            actor_count: self.actor_count as u64,
-            mem_bytes: self.mem_bytes,
-            total_speed_bits: self.total_speed.to_bits(),
-            net_bps_bits: self.net_bps.to_bits(),
-            cpu_bits: self.cpu.to_bits(),
-            mem_bits: self.mem.to_bits(),
-            net_bits: self.net.to_bits(),
-        }
-    }
 }
 
 /// A resolved actor-type selector, produced by binding a plan's type symbol
@@ -1006,32 +990,12 @@ impl<'a> EvalCtx<'a> {
     /// Servers absent from the frame (not running at build time) are
     /// skipped.
     pub fn scoped(frame: &'a EvalFrame, scope: &[ServerId]) -> Self {
-        let servers: Vec<ServerMeta> = scope
+        let servers = scope
             .iter()
             .filter_map(|&sid| frame.server(sid))
             .copied()
             .collect();
-        let full = servers.len() == frame.servers.len();
-        let scope_set: Option<BTreeMap<ServerId, ()>> = if full {
-            None
-        } else {
-            Some(servers.iter().map(|s| (s.id, ())).collect())
-        };
-        let actors: Vec<&'a ActorWindowStats> = frame
-            .snap
-            .actors
-            .iter()
-            .filter(|a| match &scope_set {
-                Some(set) => set.contains_key(&a.server),
-                None => frame.scope_has(a.server),
-            })
-            .collect();
-        EvalCtx {
-            frame,
-            servers,
-            scope: scope_set,
-            actors,
-        }
+        Self::over(frame, servers)
     }
 
     /// Builds a context from wire-carried LEM report rows — the QREPLY
@@ -1045,7 +1009,12 @@ impl<'a> EvalCtx<'a> {
     /// decision digests byte-identical with the control plane on the
     /// wire.
     pub fn for_reports(frame: &'a EvalFrame, reports: &[ServerReport]) -> Self {
-        let servers: Vec<ServerMeta> = reports.iter().map(ServerMeta::from_report).collect();
+        Self::over(frame, reports.iter().map(ServerMeta::from_report).collect())
+    }
+
+    /// Narrows `frame` to `servers` (in scope order): the actor rows kept
+    /// are those resident on one of them.
+    fn over(frame: &'a EvalFrame, servers: Vec<ServerMeta>) -> Self {
         let full = servers.len() == frame.servers.len();
         let scope_set: Option<BTreeMap<ServerId, ()>> = if full {
             None

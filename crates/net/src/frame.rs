@@ -30,8 +30,9 @@ use plasma_backend::ServerReport;
 /// mismatch fails the handshake cleanly instead of surfacing as a
 /// mid-stream decode error. Version 2 added the control-plane frames
 /// (REPORT/QUERY/QREPLY/DECISION), the control counters in
-/// [`WindowCounters`], and the Hello version field itself.
-pub const WIRE_VERSION: u8 = 2;
+/// [`WindowCounters`], and the Hello version field itself. Version 3
+/// dropped the scale bounds from QUERY and the scale votes from QREPLY.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame body. Control-plane frames scale with cluster
 /// size (a query reply carries one 64-byte candidate row per in-scope
@@ -505,8 +506,6 @@ mod tests {
                     gem: 0,
                     round: 3,
                     generation: 7,
-                    upper_bits: 0.8_f64.to_bits(),
-                    lower_bits: 0.2_f64.to_bits(),
                     scope: vec![4, 6],
                 },
             },
@@ -515,8 +514,6 @@ mod tests {
                     gem: 0,
                     round: 3,
                     generation: 7,
-                    vote_out: false,
-                    vote_in: true,
                     candidates: vec![ServerReport {
                         server: 4,
                         vcpus: 2,
@@ -623,20 +620,25 @@ mod tests {
         );
     }
 
-    /// A v1 worker's Hello (header version 1, no payload version byte)
-    /// fails at the version check — before the kind or payload is touched
-    /// — so a coordinator can turn it into a clean handshake error.
+    /// An older worker's Hello fails at the version check — before the
+    /// kind or payload is touched — so a coordinator can turn it into a
+    /// clean handshake error. A v1 Hello has no payload version byte; a v2
+    /// Hello has one, as v3 does.
     #[test]
     fn old_version_hello_fails_before_payload_parse() {
-        let mut v1_hello = Vec::new();
-        put_u32(&mut v1_hello, 6); // version + kind + group:u32
-        v1_hello.push(1); // wire version 1
-        v1_hello.push(kind::HELLO);
-        put_u32(&mut v1_hello, 3);
-        assert_eq!(
-            Frame::decode_prefix(&v1_hello).unwrap_err(),
-            DecodeError::BadVersion(1)
-        );
+        for (version, payload_version) in [(1u8, None), (2, Some(2u8))] {
+            let mut hello = Vec::new();
+            // version + kind + group:u32 [+ payload version:u8]
+            put_u32(&mut hello, 6 + u32::from(payload_version.is_some()));
+            hello.push(version);
+            hello.push(kind::HELLO);
+            put_u32(&mut hello, 3);
+            hello.extend(payload_version);
+            assert_eq!(
+                Frame::decode_prefix(&hello).unwrap_err(),
+                DecodeError::BadVersion(version)
+            );
+        }
     }
 
     /// The Hello payload carries the version explicitly, so a decoded

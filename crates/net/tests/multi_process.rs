@@ -140,16 +140,13 @@ fn control_queries_cross_processes_and_balance_windows() {
         gem: 0,
         round: 1,
         generation: 7,
-        upper_bits: 0.8f64.to_bits(),
-        lower_bits: 0.3f64.to_bits(),
         scope: vec![1, 0],
     };
     let replies = b.control(&ControlMsg::Query(q.clone()));
     assert_eq!(replies.len(), 2, "one reply per group with in-scope servers");
-    // Group 0 holds the hot server, group 1 the idle one; each votes from
-    // its own holdings.
-    assert!(replies[0].vote_out && !replies[0].vote_in);
-    assert!(!replies[1].vote_out && replies[1].vote_in);
+    // Each group answers with only the servers it holds.
+    assert_eq!(replies[0].candidates, vec![r0]);
+    assert_eq!(replies[1].candidates, vec![r1]);
     // Reassembling candidates in scope order across the per-group replies
     // recovers exactly what was published — the bit-parity property the
     // EMR's merge step relies on.

@@ -292,8 +292,7 @@ pub enum TraceEventKind {
         servers: u32,
     },
     /// The carrier's aggregated QREPLY for one GEM query: how many
-    /// candidate report rows came back and the advisory scale votes
-    /// computed from them.
+    /// candidate report rows came back.
     ControlQueryReply {
         /// Elasticity round (tick count).
         round: u64,
@@ -301,10 +300,6 @@ pub enum TraceEventKind {
         gem: u32,
         /// Candidate report rows carried back.
         candidates: u32,
-        /// Advisory scale-out vote over the carried candidates.
-        scale_out: bool,
-        /// Advisory scale-in vote over the carried candidates.
-        scale_in: bool,
     },
     /// The round's decision was broadcast over the control carriage.
     ControlDecisionIssued {
