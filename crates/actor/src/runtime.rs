@@ -18,7 +18,7 @@
 //! - **Elasticity (EER)**: periodic controller ticks and deferred control
 //!   callbacks for modeling LEM/GEM round-trips.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use plasma_backend::{
@@ -39,7 +39,9 @@ use crate::ids::{ActorId, ActorTypeId, ClientId, FnId, NameRegistry};
 use crate::logic::{ActorCtx, ActorLogic, ClientCtx, ClientLogic, PendingSend};
 use crate::message::{CallerKind, Correlation, Message, Payload};
 use crate::report::{DecisionKind, DecisionRecord, MigrationRecord, RunReport};
-use crate::stats::{ActorWindowStats, ProfileSnapshot, ServerWindowStats, SnapshotDelta};
+use crate::stats::{
+    ActorCounters, ActorWindowStats, ProfileSnapshot, ServerWindowStats, SnapshotDelta,
+};
 
 /// Tunable parameters of a simulation run.
 #[derive(Clone, Debug)]
@@ -92,7 +94,8 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Buffered output of an in-service message handler.
+/// Buffered output of an in-service message handler. Drained buffers go
+/// back to the runtime's pool and are reused by the next dispatch.
 #[derive(Default)]
 struct ServiceEffects {
     sends: Vec<PendingSend>,
@@ -180,7 +183,10 @@ pub struct Runtime {
     actors_by_server: Vec<BTreeSet<ActorId>>,
     free_lanes: Vec<u32>,
     runq: Vec<VecDeque<ActorId>>,
-    in_service: BTreeMap<ActorId, ServiceEffects>,
+    /// Effects of each actor's in-flight service, indexed by actor id.
+    in_service: Vec<Option<ServiceEffects>>,
+    /// Drained (empty) effect buffers, kept for their capacity.
+    effects_pool: Vec<ServiceEffects>,
     clients: Vec<ClientEntry>,
     controller: Option<Box<dyn ElasticityController>>,
     rng: DetRng,
@@ -247,7 +253,8 @@ impl Runtime {
             actors_by_server: Vec::new(),
             free_lanes: Vec::new(),
             runq: Vec::new(),
-            in_service: BTreeMap::new(),
+            in_service: Vec::new(),
+            effects_pool: Vec::new(),
             clients: Vec::new(),
             controller: None,
             rng,
@@ -426,6 +433,7 @@ impl Runtime {
         let id = ActorId(self.actors.len() as u64);
         let entry = ActorEntry::new(id, type_id, server, logic, state_size, self.now);
         self.actors.push(Some(entry));
+        self.in_service.push(None);
         self.actors_by_server[server.0 as usize].insert(id);
         self.cluster.server_mut(server).add_mem(state_size);
         self.tracer.emit(self.now, Component::Runtime, None, || {
@@ -1110,13 +1118,14 @@ impl Runtime {
             let me = entry.id;
             let corr = msg.corr;
             let mut logic = entry.logic.take().expect("logic present outside dispatch");
+            let ServiceEffects { sends, replies } = self.effects_pool.pop().unwrap_or_default();
             let mut ctx = ActorCtx {
                 rt: self,
                 me,
                 corr,
                 work: 0.0,
-                sends: Vec::new(),
-                replies: Vec::new(),
+                sends,
+                replies,
             };
             logic.on_message(&mut ctx, &mut msg);
             let ActorCtx {
@@ -1147,8 +1156,7 @@ impl Runtime {
             });
             self.cluster.server_mut(server).add_cpu_busy(service);
             self.free_lanes[sidx] -= 1;
-            self.in_service
-                .insert(actor, ServiceEffects { sends, replies });
+            self.in_service[actor.0 as usize] = Some(ServiceEffects { sends, replies });
             self.events.push(
                 self.now + service,
                 Event::ServiceDone {
@@ -1167,16 +1175,16 @@ impl Runtime {
             return;
         }
         self.free_lanes[server.0 as usize] += 1;
-        let effects = self.in_service.remove(&actor).unwrap_or_default();
+        let mut effects = self.in_service[actor.0 as usize].take().unwrap_or_default();
         let entry = self.entry_mut(actor);
         entry.servicing = false;
         let from_type = entry.type_id;
         // Flush buffered sends from the (still-source) server.
-        for send in effects.sends {
+        for send in effects.sends.drain(..) {
             self.do_send(actor, from_type, server, send);
         }
         let mut reply_bytes = 0u64;
-        for (corr, bytes, payload) in effects.replies {
+        for (corr, bytes, payload) in effects.replies.drain(..) {
             reply_bytes += bytes;
             let bps = self.cluster.server(server).instance().net_bps;
             self.cluster.server_mut(server).add_net_bytes(bytes);
@@ -1191,6 +1199,7 @@ impl Runtime {
                 },
             );
         }
+        self.effects_pool.push(effects);
         let entry = self.entry_mut(actor);
         entry.counters.bytes_sent += reply_bytes;
         if entry.tombstone {
@@ -1447,7 +1456,8 @@ impl Runtime {
     }
 
     /// Closes the current profiling window: builds the next
-    /// [`ProfileSnapshot`], resets actor counters, and barriers the
+    /// [`ProfileSnapshot`] (moving each actor's counters into it, which
+    /// leaves them zeroed for the next window), and barriers the
     /// execution backend. The periodic chain passes `schedule_next`; a
     /// forced early roll (snapshot-skew fault injection) does not, so the
     /// periodic cadence is preserved and the extra roll just inserts one
@@ -1495,14 +1505,13 @@ impl Runtime {
                     state_size: entry.state_size,
                     pinned: entry.pinned,
                     cpu_share,
-                    counters: entry.counters.clone(),
+                    counters: std::mem::take(&mut entry.counters),
                     refs: entry.refs.clone(),
                 });
-                entry.counters.reset();
             }
         } else {
             for entry in self.actors.iter_mut().flatten() {
-                entry.counters.reset();
+                entry.counters = ActorCounters::default();
             }
         }
         let next = Arc::new(ProfileSnapshot {
@@ -1724,7 +1733,8 @@ impl Runtime {
                 continue;
             };
             self.actors_by_server[sidx].remove(&aid);
-            self.in_service.remove(&aid);
+            // Buffered effects die with the server, never delivered.
+            self.in_service[aid.0 as usize] = None;
             if let Some(MigrationState::Pending { dst } | MigrationState::InTransit { dst }) =
                 entry.migration
             {

@@ -1,9 +1,12 @@
 //! End-to-end behavioral tests of the actor runtime.
 
+use std::sync::{Arc, Mutex};
+
 use plasma_actor::logic::{ActorCtx, ClientCtx};
 use plasma_actor::message::Payload;
 use plasma_actor::runtime::{Runtime, RuntimeConfig};
 use plasma_actor::{ActorId, ActorLogic, ClientLogic, ElasticityController, Message};
+use plasma_chaos::{FaultPlan, RecoveryPolicy};
 use plasma_cluster::{InstanceType, ServerId};
 use plasma_sim::{SimDuration, SimTime};
 
@@ -414,4 +417,255 @@ fn orphan_reply_is_counted_not_fatal() {
     rt.run_until(SimTime::from_secs(5));
     assert_eq!(rt.report().orphan_replies, 1);
     assert_eq!(rt.report().replies, 0);
+}
+
+/// An actor that appends every `u64` tag it receives to a shared log.
+struct Recorder {
+    seen: Arc<Mutex<Vec<u64>>>,
+}
+
+impl ActorLogic for Recorder {
+    fn on_message(&mut self, ctx: &mut ActorCtx<'_>, msg: &mut Message) {
+        ctx.work(0.0001);
+        if let Some(&tag) = msg.payload_ref::<u64>() {
+            self.seen.lock().unwrap().push(tag);
+        }
+    }
+}
+
+/// Forwards each request's tag to a recorder `fanout` times, then replies
+/// with the tag.
+struct FanOut {
+    recorder: ActorId,
+    fanout: usize,
+    work: f64,
+}
+
+impl ActorLogic for FanOut {
+    fn on_message(&mut self, ctx: &mut ActorCtx<'_>, msg: &mut Message) {
+        let tag = *msg.payload_ref::<u64>().expect("tagged request");
+        ctx.work(self.work);
+        for _ in 0..self.fanout {
+            ctx.send_with(self.recorder, "log", 8, Box::new(tag));
+        }
+        ctx.reply_with(8, Box::new(tag));
+    }
+}
+
+/// An actor that burns CPU and emits nothing: no send, no reply.
+struct Silent {
+    served: Arc<Mutex<u32>>,
+}
+
+impl ActorLogic for Silent {
+    fn on_message(&mut self, ctx: &mut ActorCtx<'_>, _msg: &mut Message) {
+        ctx.work(0.001);
+        *self.served.lock().unwrap() += 1;
+    }
+}
+
+/// Sends request tag `k` to `target` at `start + k * period` for
+/// `k < count`, logging the tag of every tagged reply.
+struct Tagged {
+    target: ActorId,
+    start: SimDuration,
+    period: SimDuration,
+    count: u64,
+    replies: Arc<Mutex<Vec<u64>>>,
+}
+
+impl ClientLogic for Tagged {
+    fn on_start(&mut self, ctx: &mut ClientCtx<'_>) {
+        ctx.set_timer(self.start, 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut ClientCtx<'_>, tag: u64) {
+        ctx.request_with(self.target, "handle", 64, Box::new(tag));
+        if tag + 1 < self.count {
+            ctx.set_timer(self.period, tag + 1);
+        }
+    }
+
+    fn on_reply(
+        &mut self,
+        _ctx: &mut ClientCtx<'_>,
+        _request: u64,
+        _latency: SimDuration,
+        payload: Option<Payload>,
+    ) {
+        if let Some(tag) = payload.and_then(|p| p.downcast::<u64>().ok()) {
+            self.replies.lock().unwrap().push(*tag);
+        }
+    }
+}
+
+fn shared<T: Default>() -> Arc<Mutex<T>> {
+    Arc::new(Mutex::new(T::default()))
+}
+
+#[test]
+fn crash_mid_service_discards_its_buffered_effects() {
+    let mut rt = Runtime::new(small_config());
+    let s0 = rt.add_server(InstanceType::m1_small());
+    let s1 = rt.add_server(InstanceType::m1_small());
+    let seen = shared::<Vec<u64>>();
+    let replies = shared::<Vec<u64>>();
+    let recorder = rt.spawn_actor(
+        "Recorder",
+        Box::new(Recorder {
+            seen: Arc::clone(&seen),
+        }),
+        64,
+        s1,
+    );
+    // Each service runs 1 s, so request 0 (sent at 0.1 s) is still in
+    // service when s0 crashes at 0.5 s, its three sends and its reply
+    // buffered.
+    let fanout = 3;
+    let worker = rt.spawn_actor(
+        "FanOut",
+        Box::new(FanOut {
+            recorder,
+            fanout,
+            work: 1.0,
+        }),
+        64,
+        s0,
+    );
+    rt.add_client(Box::new(Tagged {
+        target: worker,
+        start: SimDuration::from_millis(100),
+        period: SimDuration::from_secs(2),
+        count: 20,
+        replies: Arc::clone(&replies),
+    }));
+    rt.install_fault_plan(
+        &FaultPlan::new().crash_server(SimTime::from_millis(500), s0, None),
+        RecoveryPolicy::default(),
+    );
+    rt.run_until(SimTime::from_secs(60));
+
+    // The failure detector respawned the worker on the surviving server.
+    assert_eq!(rt.snapshot().actor(worker).map(|a| a.server), Some(s1));
+    let seen = seen.lock().unwrap().clone();
+    let replies = replies.lock().unwrap().clone();
+    assert!(!replies.is_empty(), "the respawned worker serves requests");
+    assert!(!replies.contains(&0), "the crashed service's reply leaked");
+    assert!(!seen.contains(&0), "the crashed service's sends leaked");
+    // Every later service emitted exactly its own effects: `fanout` sends
+    // of its own tag, in request order, and one reply.
+    let expected: Vec<u64> = replies
+        .iter()
+        .flat_map(|&tag| std::iter::repeat_n(tag, fanout))
+        .collect();
+    assert_eq!(seen, expected);
+}
+
+#[test]
+fn pooled_effect_buffers_come_back_empty() {
+    let mut rt = Runtime::new(small_config());
+    let s0 = rt.add_server(InstanceType::m1_small());
+    let s1 = rt.add_server(InstanceType::m1_small());
+    let seen = shared::<Vec<u64>>();
+    let served = shared::<u32>();
+    let loud_replies = shared::<Vec<u64>>();
+    let recorder = rt.spawn_actor(
+        "Recorder",
+        Box::new(Recorder {
+            seen: Arc::clone(&seen),
+        }),
+        64,
+        s1,
+    );
+    let loud = rt.spawn_actor(
+        "FanOut",
+        Box::new(FanOut {
+            recorder,
+            fanout: 4,
+            work: 0.01,
+        }),
+        64,
+        s0,
+    );
+    let silent = rt.spawn_actor(
+        "Silent",
+        Box::new(Silent {
+            served: Arc::clone(&served),
+        }),
+        64,
+        s0,
+    );
+    // Loud services at 0, 1 and 2 s; silent ones on the same server at
+    // 0.5, 1.5 and 2.5 s, each after a loud service's buffers were drained.
+    rt.add_client(Box::new(Tagged {
+        target: loud,
+        start: SimDuration::ZERO,
+        period: SimDuration::from_secs(1),
+        count: 3,
+        replies: Arc::clone(&loud_replies),
+    }));
+    rt.add_client(Box::new(Tagged {
+        target: silent,
+        start: SimDuration::from_millis(500),
+        period: SimDuration::from_secs(1),
+        count: 3,
+        replies: shared(),
+    }));
+    rt.run_until(SimTime::from_secs(5));
+
+    assert_eq!(*served.lock().unwrap(), 3);
+    assert_eq!(*loud_replies.lock().unwrap(), vec![0, 1, 2]);
+    // Only the loud services' sends arrive, each once.
+    assert_eq!(
+        *seen.lock().unwrap(),
+        vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    );
+    assert_eq!(rt.report().replies, 3);
+    assert_eq!(rt.report().orphan_replies, 0);
+}
+
+#[test]
+fn window_roll_hands_each_window_its_own_counters() {
+    let mut rt = Runtime::new(small_config());
+    let s = rt.add_server(InstanceType::m1_small());
+    let echo = rt.spawn_actor("Echo", Box::new(Echo { work: 0.010 }), 1024, s);
+    // Five requests in the first 1 s profiling window, none in the second,
+    // two in the third.
+    for (start_ms, count) in [(100, 5), (2_100, 2)] {
+        rt.add_client(Box::new(Tagged {
+            target: echo,
+            start: SimDuration::from_millis(start_ms),
+            period: SimDuration::from_millis(100),
+            count,
+            replies: shared(),
+        }));
+    }
+    let mut window = |closes_at_s: u64| {
+        rt.run_until(SimTime::from_millis(closes_at_s * 1_000 + 500));
+        let snap = rt.snapshot();
+        assert_eq!(snap.at, SimTime::from_secs(closes_at_s));
+        snap.actor(echo).expect("echo profiled").clone()
+    };
+    let (busy, idle, again) = (window(1), window(2), window(3));
+
+    assert_eq!(busy.counters.total_received(), 5);
+    assert_eq!(busy.counters.calls.len(), 1, "one caller kind and function");
+    let stat = busy.counters.calls.values().next().unwrap();
+    assert_eq!((stat.count, stat.bytes), (5, 5 * 64));
+    assert!(busy.counters.cpu_busy > SimDuration::ZERO);
+    assert!(busy.cpu_share > 0.0);
+    assert_eq!(busy.counters.bytes_sent, 5 * 64);
+
+    assert!(idle.counters.calls.is_empty(), "no traffic, no calls");
+    assert_eq!(idle.counters.cpu_busy, SimDuration::ZERO);
+    assert_eq!(idle.counters.bytes_sent, 0);
+    assert_eq!(idle.cpu_share, 0.0);
+
+    // Nothing carried over from the first window.
+    assert_eq!(again.counters.total_received(), 2);
+    assert_eq!(
+        again.counters.cpu_busy.as_micros() * 5,
+        busy.counters.cpu_busy.as_micros() * 2
+    );
+    assert_eq!(again.counters.bytes_sent, 2 * 64);
 }

@@ -186,7 +186,11 @@ mod tests {
         };
         let reply = answer_query(9, &held, &query);
         assert_eq!(
-            reply.candidates.iter().map(|c| c.server).collect::<Vec<_>>(),
+            reply
+                .candidates
+                .iter()
+                .map(|c| c.server)
+                .collect::<Vec<_>>(),
             vec![7, 2],
             "candidates follow scope order, holes skipped"
         );

@@ -29,18 +29,19 @@ use plasma_actor::stats::SnapshotDelta;
 use plasma_bench::eval::synth;
 use plasma_emr::view::EvalFrame;
 
-/// Runs one benchmark and returns its measured mean ns/iter.
+/// Runs one benchmark and returns its median ns/iter over the timed
+/// batches (steadier than the mean, which one preempted batch can skew).
 fn timed<F>(c: &mut Criterion, name: &str, mut f: F) -> f64
 where
     F: FnMut() -> usize,
 {
-    let mean = Rc::new(Cell::new(0.0));
-    let sink = Rc::clone(&mean);
+    let median = Rc::new(Cell::new(0.0));
+    let sink = Rc::clone(&median);
     c.bench_function(name, move |b| {
         b.iter(|| black_box(f()));
-        sink.set(b.mean_ns);
+        sink.set(b.median_ns);
     });
-    mean.get()
+    median.get()
 }
 
 fn main() {

@@ -688,7 +688,12 @@ impl ExecutionBackend for NetBackend {
                 // Decisions are broadcast: every group learns the round's
                 // outcome even if none of its servers moved.
                 for g in 0..self.conns.len() {
-                    if self.send(g, &Frame::Decision { decision: d.clone() }) {
+                    if self.send(
+                        g,
+                        &Frame::Decision {
+                            decision: d.clone(),
+                        },
+                    ) {
                         self.sent_decisions += 1;
                     }
                 }
@@ -789,7 +794,9 @@ mod tests {
         let mut fb = FrameBuffer::new();
         let err = read_hello(&mut r, &mut fb).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("wire version mismatch in handshake"));
+        assert!(err
+            .to_string()
+            .contains("wire version mismatch in handshake"));
     }
 
     #[test]

@@ -143,7 +143,11 @@ fn control_queries_cross_processes_and_balance_windows() {
         scope: vec![1, 0],
     };
     let replies = b.control(&ControlMsg::Query(q.clone()));
-    assert_eq!(replies.len(), 2, "one reply per group with in-scope servers");
+    assert_eq!(
+        replies.len(),
+        2,
+        "one reply per group with in-scope servers"
+    );
     // Each group answers with only the servers it holds.
     assert_eq!(replies[0].candidates, vec![r0]);
     assert_eq!(replies[1].candidates, vec![r1]);
@@ -171,7 +175,10 @@ fn control_queries_cross_processes_and_balance_windows() {
     }));
     assert!(out.is_empty());
     let w = b.window_close(1);
-    assert!(w.matched, "control carriage must balance the window barrier");
+    assert!(
+        w.matched,
+        "control carriage must balance the window barrier"
+    );
     let s = b.stats();
     assert_eq!(s.control_reports, 2);
     assert_eq!(s.control_queries, 1);

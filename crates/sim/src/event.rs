@@ -5,27 +5,30 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A timestamped event with a tie-breaking sequence number.
-struct Scheduled<E> {
+/// The heap's entry: when an event fires, its tie-breaking sequence
+/// number, and the slab slot holding the event itself. Keeping payloads out
+/// of the heap means every sift moves 24 bytes, however large `E` is.
+#[derive(Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Scheduled<E> {}
+impl Eq for Key {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         // Ties break by insertion order (seq) for full determinism.
@@ -43,6 +46,10 @@ impl<E> Ord for Scheduled<E> {
 /// which makes whole-simulation runs reproducible independent of hash-map
 /// iteration order or heap internals.
 ///
+/// The heap orders small `(at, seq, slot)` keys; the events themselves sit
+/// in a slab whose emptied slots are reused, so neither a push nor a pop
+/// moves an event more than once.
+///
 /// # Examples
 ///
 /// ```
@@ -59,7 +66,11 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Key>,
+    /// Pending events, indexed by their key's `slot`; `None` slots are
+    /// listed in `free` for reuse.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
     next_seq: u64,
     pushed: u64,
     popped: u64,
@@ -76,6 +87,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             pushed: 0,
             popped: 0,
@@ -87,14 +100,32 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
+        let key = self.heap.pop()?;
+        Some((key.at, self.take(key.slot)))
+    }
+
+    /// Empties `slot` for reuse and returns its event.
+    fn take(&mut self, slot: u32) -> E {
         self.popped += 1;
-        Some((s.at, s.event))
+        self.free.push(slot);
+        self.slab[slot as usize]
+            .take()
+            .expect("a queued key names a full slot")
     }
 
     /// Returns the timestamp of the earliest pending event.
@@ -115,12 +146,18 @@ impl<E> EventQueue<E> {
     where
         F: FnOnce(&E) -> bool,
     {
-        let head = self.heap.peek()?;
-        if head.at != at || !accept(&head.event) {
+        let head = *self.heap.peek()?;
+        if head.at != at {
             return None;
         }
-        self.popped += 1;
-        Some(self.heap.pop().expect("peeked event present").event)
+        let event = self.slab[head.slot as usize]
+            .as_ref()
+            .expect("a queued key names a full slot");
+        if !accept(event) {
+            return None;
+        }
+        self.heap.pop();
+        Some(self.take(head.slot))
     }
 
     /// Returns the number of pending events.
