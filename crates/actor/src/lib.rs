@@ -38,8 +38,8 @@ pub use ids::{ActorId, ActorTypeId, ClientId, FnId};
 pub use logic::{ActorCtx, ActorLogic, ClientCtx, ClientLogic};
 pub use message::{CallerKind, Message};
 pub use plasma_backend::{
-    BackendKind, BackendStats, ControlDecision, ControlMsg, ControlQuery, ControlReply,
-    MigrationOrder, ServerReport,
+    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, MigrationOrder,
+    ServerReport,
 };
 pub use report::{DecisionKind, DecisionRecord, RunReport};
 pub use runtime::{DecommissionError, Runtime, RuntimeConfig};

@@ -22,8 +22,8 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use plasma_backend::{
-    BackendKind, BackendStats, ControlDecision, ControlMsg, ControlQuery, ControlReply, Delivery,
-    Execution, ExecutionBackend, ServerReport,
+    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
+    ExecutionBackend, ServerReport,
 };
 use plasma_chaos::fault::FaultKind;
 use plasma_chaos::{FaultPlan, RecoveryPolicy};
@@ -2022,9 +2022,9 @@ impl Runtime {
             if ev.up {
                 self.backend.server_up(ev.server.0, ev.vcpus);
                 // A server booted mid-window has no usage row in the
-                // current snapshot; publish the zero-usage row EvalFrame
-                // computes for it so a query between boot and the next
-                // window roll sees the same candidates either way.
+                // current snapshot; publish its zero-usage row so a query
+                // between boot and the next window roll sees the same
+                // candidates as the EMR's frame.
                 let report = self.server_report(ev.server);
                 self.backend
                     .publish_report(self.snapshot.generation, &report);
@@ -2034,12 +2034,13 @@ impl Runtime {
         }
     }
 
-    /// Builds the LEM report row for `sid` against the current snapshot —
-    /// the byte-exact mirror of the EMR's `ServerMeta` derivation (usage
-    /// from the snapshot row, zeros for servers booted after it; capacity
-    /// from the instance type). f64 fields travel as raw bit patterns so
-    /// the wire cannot perturb them.
-    fn server_report(&self, sid: ServerId) -> ServerReport {
+    /// Builds the LEM report row for `sid` against the current snapshot:
+    /// usage and actor count from the snapshot row, zeros for a server
+    /// booted after it, capacity from the instance type. This is the one
+    /// derivation of a server's row — the row the carriers hold and the
+    /// EMR's `EvalFrame` builds its `ServerMeta` from. f64 fields travel
+    /// as raw bit patterns so the wire cannot perturb them.
+    pub fn server_report(&self, sid: ServerId) -> ServerReport {
         let (cpu, mem, net, actor_count) = match self.snapshot.server(sid) {
             Some(s) => (s.usage.cpu(), s.usage.mem(), s.usage.net(), s.actor_count),
             None => (0.0, 0.0, 0.0, 0),
@@ -2063,13 +2064,13 @@ impl Runtime {
     /// carrier and the logical cluster agree on which servers are up.
     pub fn control_query(&mut self, query: ControlQuery) -> Vec<ControlReply> {
         self.sync_backend_lifecycle();
-        self.backend.control(&ControlMsg::Query(query))
+        self.backend.query(&query)
     }
 
     /// Broadcasts a GEM decision over the control carriage (audit/metrics
     /// traffic: workers count it, nothing feeds back).
     pub fn control_decision(&mut self, decision: ControlDecision) {
-        self.backend.control(&ControlMsg::Decision(decision));
+        self.backend.decide(&decision);
     }
 
     fn ensure_server_slots(&mut self, id: ServerId) {

@@ -4,10 +4,12 @@
 //! REPORT per-server load profiles, GEMs QUERY the LEMs in their scope,
 //! collect QREPLY candidate rows, and publish a DECISION (grow/shrink
 //! plus the migration list). This module defines those
-//! messages as carriage structs so the [`ExecutionBackend::control`]
-//! hook can route them over whatever medium the backend provides —
-//! in-process audit under sim, cross-thread channels under live, TCP
-//! frames under net — while the *decision logic* stays in the EMR.
+//! messages as carriage structs so [`ExecutionBackend::query`] and
+//! [`ExecutionBackend::decide`] can route them over whatever medium the
+//! backend provides — in-process audit under sim, cross-thread channels
+//! under live, TCP frames under net — while the *decision logic* stays in
+//! the EMR. [`HeldReports`] is the one place a carrier holds REPORT rows
+//! and answers a QUERY from them.
 //!
 //! # Determinism contract
 //!
@@ -19,7 +21,8 @@
 //! is what keeps decision digests identical across sim, live, and net
 //! carriages (the N-way parity gate).
 //!
-//! [`ExecutionBackend::control`]: crate::ExecutionBackend::control
+//! [`ExecutionBackend::query`]: crate::ExecutionBackend::query
+//! [`ExecutionBackend::decide`]: crate::ExecutionBackend::decide
 
 use std::collections::BTreeMap;
 
@@ -109,48 +112,55 @@ pub struct ControlDecision {
     pub migrations: Vec<MigrationOrder>,
 }
 
-/// A control-plane message handed to [`ExecutionBackend::control`].
-///
-/// [`ExecutionBackend::control`]: crate::ExecutionBackend::control
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ControlMsg {
-    /// GEM → LEMs: request candidate rows for a scope.
-    Query(ControlQuery),
-    /// LEM → GEM: candidate rows.
-    Reply(ControlReply),
-    /// GEM → all: the round's published decision.
-    Decision(ControlDecision),
+/// The report rows a carrier holds for one snapshot generation: what
+/// every carrier answers a [`ControlQuery`] from (the sim backend holds
+/// every server's row; each live worker thread its own server's; each net
+/// worker its group's).
+#[derive(Clone, Debug, Default)]
+pub struct HeldReports {
+    generation: u64,
+    rows: BTreeMap<u32, ServerReport>,
 }
 
-/// Answers a query from a held report set: the pure evaluation every
-/// carrier shares (the sim backend calls it inline; each net worker and
-/// live worker thread calls it against the reports it holds).
-///
-/// Candidates are the held rows named by `query.scope`, **in scope
-/// order** — the same order `EvalCtx::scoped` materializes server rows
-/// in, which is what lets the GEM reassemble a byte-identical evaluation
-/// context from merged replies. Held rows from a different generation
-/// than the query's are skipped (a reply never mixes generations).
-pub fn answer_query(
-    held_generation: u64,
-    held: &BTreeMap<u32, ServerReport>,
-    query: &ControlQuery,
-) -> ControlReply {
-    let candidates: Vec<ServerReport> = if held_generation == query.generation {
-        query
-            .scope
-            .iter()
-            .filter_map(|s| held.get(s))
-            .copied()
-            .collect()
-    } else {
-        Vec::new()
-    };
-    ControlReply {
-        gem: query.gem,
-        round: query.round,
-        generation: query.generation,
-        candidates,
+impl HeldReports {
+    /// Holds `report` for `generation`. A row for a newer generation
+    /// drops every row of the older one, so a reply never mixes
+    /// generations.
+    pub fn publish(&mut self, generation: u64, report: ServerReport) {
+        if generation != self.generation {
+            self.rows.clear();
+            self.generation = generation;
+        }
+        self.rows.insert(report.server, report);
+    }
+
+    /// Drops `server`'s row (the server went down).
+    pub fn remove(&mut self, server: u32) {
+        self.rows.remove(&server);
+    }
+
+    /// Answers `query`: the held rows named by `query.scope`, **in scope
+    /// order** — the same order `EvalCtx::scoped` materializes server rows
+    /// in, which is what lets the GEM reassemble a byte-identical
+    /// evaluation context from merged replies. Rows held for a different
+    /// generation than the query's are skipped.
+    pub fn answer(&self, query: &ControlQuery) -> ControlReply {
+        let candidates = if self.generation == query.generation {
+            query
+                .scope
+                .iter()
+                .filter_map(|s| self.rows.get(s))
+                .copied()
+                .collect()
+        } else {
+            Vec::new()
+        };
+        ControlReply {
+            gem: query.gem,
+            round: query.round,
+            generation: query.generation,
+            candidates,
+        }
     }
 }
 
@@ -174,9 +184,9 @@ mod tests {
 
     #[test]
     fn answer_preserves_scope_order_and_generation() {
-        let mut held = BTreeMap::new();
-        held.insert(2, report(2, 0.5));
-        held.insert(7, report(7, 0.9));
+        let mut held = HeldReports::default();
+        held.publish(9, report(2, 0.5));
+        held.publish(9, report(7, 0.9));
         let query = ControlQuery {
             gem: 1,
             round: 4,
@@ -184,7 +194,7 @@ mod tests {
             // Scope order is not id order; server 5 is not held.
             scope: vec![7, 5, 2],
         };
-        let reply = answer_query(9, &held, &query);
+        let reply = held.answer(&query);
         assert_eq!(
             reply
                 .candidates
@@ -196,8 +206,21 @@ mod tests {
         );
         assert_eq!((reply.gem, reply.round, reply.generation), (1, 4, 9));
 
-        // A stale held generation yields no candidates.
-        let stale = answer_query(8, &held, &query);
+        // A query against another generation yields no candidates.
+        let stale = held.answer(&ControlQuery {
+            generation: 8,
+            ..query.clone()
+        });
         assert!(stale.candidates.is_empty());
+
+        // A newer generation replaces the held rows; a removed row is gone.
+        held.publish(10, report(2, 0.7));
+        held.publish(10, report(7, 0.1));
+        held.remove(7);
+        let fresh = held.answer(&ControlQuery {
+            generation: 10,
+            ..query
+        });
+        assert_eq!(fresh.candidates, vec![report(2, 0.7)]);
     }
 }

@@ -21,8 +21,11 @@
 //! - **windows and rounds** — [`ExecutionBackend::window_close`] /
 //!   [`ExecutionBackend::round_barrier`]: no-ops under sim, real barriers
 //!   under live that verify exactly-once carriage of every event.
+//! - **control plane** — [`ExecutionBackend::publish_report`],
+//!   [`ExecutionBackend::query`] and [`ExecutionBackend::decide`]: the
+//!   LEM REPORT rows, the GEM's QUERY and the round's DECISION.
 //!
-//! The two implementations are [`SimBackend`] (an adapter over the
+//! The two implementations here are [`SimBackend`] (an adapter over the
 //! `plasma-sim` event loop: the queue itself already *is* the carrier, so
 //! the backend only audits) and [`LiveBackend`] (OS threads plus real
 //! channels, conservatively time-stepped: the logical schedule stays
@@ -36,15 +39,21 @@
 //! processes over localhost TCP speaking the length-prefixed wire format
 //! whose field codec is this crate's [`wire`] module. The `net-parity` CI
 //! job extends the gate three ways (sim/live/net).
+//!
+//! The live and net carriers share their bookkeeping through [`carrier`]:
+//! every worker runs a [`Lem`], and the coordinator checks each window
+//! against a [`Tally`]. Every carrier holds report rows in a
+//! [`HeldReports`].
 
+pub mod carrier;
 pub mod control;
 pub mod live;
 pub mod sim;
 pub mod wire;
 
+pub use carrier::{Lem, Tally, WindowCounters};
 pub use control::{
-    answer_query, ControlDecision, ControlMsg, ControlQuery, ControlReply, MigrationOrder,
-    ServerReport,
+    ControlDecision, ControlQuery, ControlReply, HeldReports, MigrationOrder, ServerReport,
 };
 pub use live::LiveBackend;
 pub use sim::SimBackend;
@@ -250,14 +259,12 @@ pub trait ExecutionBackend {
     /// data: carriers hold it verbatim and echo it back in query replies.
     fn publish_report(&mut self, generation: u64, report: &ServerReport);
 
-    /// Carries one control-plane message.
+    /// Carries one GEM query and returns the carriers' replies.
     ///
-    /// For [`ControlMsg::Query`] the call is synchronous: the carrier
-    /// routes the query to every LEM holding in-scope reports and returns
-    /// their replies in a deterministic order (scope-group order under
-    /// net, server order under live, one merged reply under sim). For
-    /// [`ControlMsg::Decision`] the message is broadcast and the return is
-    /// empty. [`ControlMsg::Reply`] never originates at the coordinator.
+    /// The call is synchronous: the carrier routes the query to every LEM
+    /// holding in-scope reports and returns their replies in a
+    /// deterministic order (scope-group order under net, server order
+    /// under live, one merged reply under sim).
     ///
     /// This is the one deliberate relaxation of the "nothing the backend
     /// returns may alter logical scheduling" rule: replies *do* feed the
@@ -265,7 +272,11 @@ pub trait ExecutionBackend {
     /// snapshot state the coordinator itself published, so the decision
     /// sequence remains a pure function of logical state (the N-way parity
     /// gate holds the carriages to that).
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply>;
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply>;
+
+    /// Broadcasts a round's decision to every carrier. Workers count it;
+    /// nothing feeds back.
+    fn decide(&mut self, decision: &ControlDecision);
 
     /// Announces the currently injected cross-server transport delay in
     /// nanoseconds (`0` clears it). The chaos layer calls this when a
@@ -383,7 +394,7 @@ mod tests {
                     },
                 );
             }
-            let replies = b.control(&ControlMsg::Query(query.clone()));
+            let replies = b.query(&query);
             assert!(!replies.is_empty(), "{kind:?} must answer a query");
             // Reassemble candidates in scope order, as the GEM does.
             let mut rows = Vec::new();
@@ -394,20 +405,17 @@ mod tests {
                     }
                 }
             }
-            assert!(
-                b.control(&ControlMsg::Decision(ControlDecision {
-                    round: 1,
-                    grow: 0,
-                    shrink: 0,
-                    migrations: vec![MigrationOrder {
-                        actor: 7,
-                        src: 0,
-                        dst: 1
-                    }],
-                }))
-                .is_empty(),
-                "decisions return no replies"
-            );
+            b.decide(&ControlDecision {
+                round: 1,
+                grow: 0,
+                shrink: 0,
+                migrations: vec![MigrationOrder {
+                    actor: 7,
+                    src: 0,
+                    dst: 1,
+                }],
+            });
+            assert!(b.window_close(2).matched, "{kind:?} control carriage");
             let s = b.stats();
             assert_eq!((s.control_reports, s.control_queries), (2, 1));
             assert_eq!(s.control_decisions, 1);

@@ -27,7 +27,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::control::{answer_query, ControlDecision, ControlMsg, ControlQuery, ControlReply};
+use crate::carrier::{Lem, Tally, WindowCounters};
+use crate::control::{ControlDecision, ControlQuery, ControlReply};
 use crate::{
     BackendKind, BackendStats, Delivery, Execution, ExecutionBackend, ServerReport, WindowReport,
 };
@@ -38,8 +39,6 @@ const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
 enum WorkerMsg {
     Deliver {
-        bytes: u64,
-        remote: bool,
         /// Coordinator clock at send; the worker's receive stamp minus this
         /// is the real cross-thread transport latency.
         sent_ns: u64,
@@ -49,12 +48,11 @@ enum WorkerMsg {
     },
     /// FIFO window barrier: report and reset the window counters.
     WindowMark {
-        generation: u64,
-        ack: Sender<WorkerWindow>,
+        ack: Sender<WindowCounters>,
     },
     /// FIFO round barrier: prove liveness at an elasticity boundary.
     RoundMark {
-        ack: Sender<u32>,
+        ack: Sender<()>,
     },
     /// LEM report row for the worker's own server.
     Report {
@@ -66,29 +64,12 @@ enum WorkerMsg {
         query: ControlQuery,
         ack: Sender<ControlReply>,
     },
-    /// Round decision broadcast (accounting only on this carrier).
-    Decision {
-        decision: ControlDecision,
+    /// Round decision broadcast (counted only on this carrier).
+    Decision,
+    /// Drain the partial window and exit (the server went down).
+    Retire {
+        ack: Sender<WindowCounters>,
     },
-    Shutdown,
-}
-
-/// One worker's accounting for one profiling window.
-#[derive(Clone, Copy, Debug, Default)]
-struct WorkerWindow {
-    deliveries: u64,
-    executions: u64,
-    busy_ns: u64,
-    channel_ns_total: u64,
-    channel_ns_max: u64,
-    channel_samples: u64,
-    /// Control-plane carriage counts, verified at the barrier like the
-    /// data-plane ones: report rows received, queries answered, replies
-    /// returned, decisions seen.
-    reports: u64,
-    queries: u64,
-    replies: u64,
-    decisions: u64,
 }
 
 struct WorkerHandle {
@@ -101,17 +82,7 @@ pub struct LiveBackend {
     epoch: Instant,
     workers: BTreeMap<u32, WorkerHandle>,
     stats: BackendStats,
-    /// Coordinator-side tallies for the open window, compared against the
-    /// workers' counts at the barrier.
-    sent_deliveries: u64,
-    sent_executions: u64,
-    sent_reports: u64,
-    sent_queries: u64,
-    recv_replies: u64,
-    sent_decisions: u64,
-    /// Partial-window accounting drained from workers that went down
-    /// mid-window (crashes, decommissions); folded into the next barrier.
-    retired: WorkerWindow,
+    tally: Tally,
     shut: bool,
 }
 
@@ -128,13 +99,7 @@ impl LiveBackend {
             epoch: Instant::now(),
             workers: BTreeMap::new(),
             stats: BackendStats::default(),
-            sent_deliveries: 0,
-            sent_executions: 0,
-            sent_reports: 0,
-            sent_queries: 0,
-            recv_replies: 0,
-            sent_decisions: 0,
-            retired: WorkerWindow::default(),
+            tally: Tally::default(),
             shut: false,
         }
     }
@@ -143,49 +108,28 @@ impl LiveBackend {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn fold(acc: &mut WorkerWindow, w: &WorkerWindow) {
-        acc.deliveries += w.deliveries;
-        acc.executions += w.executions;
-        acc.busy_ns += w.busy_ns;
-        acc.channel_ns_total += w.channel_ns_total;
-        acc.channel_ns_max = acc.channel_ns_max.max(w.channel_ns_max);
-        acc.channel_samples += w.channel_samples;
-        acc.reports += w.reports;
-        acc.queries += w.queries;
-        acc.replies += w.replies;
-        acc.decisions += w.decisions;
+    /// Sends `msg` to `server`'s worker; `false` when it has none.
+    fn send(&self, server: u32, msg: WorkerMsg) -> bool {
+        self.workers
+            .get(&server)
+            .is_some_and(|h| h.tx.send(msg).is_ok())
     }
 
-    /// Barriers every live worker, returning the summed window accounting
-    /// and whether every ack arrived.
-    fn collect_windows(&mut self, generation: u64) -> (WorkerWindow, bool) {
-        let (ack_tx, ack_rx): (Sender<WorkerWindow>, Receiver<WorkerWindow>) = unbounded();
-        let mut expected = 0usize;
-        for handle in self.workers.values() {
-            if handle
-                .tx
-                .send(WorkerMsg::WindowMark {
-                    generation,
-                    ack: ack_tx.clone(),
-                })
-                .is_ok()
-            {
-                expected += 1;
-            }
-        }
+    /// Sends a FIFO mark to every worker and collects the acks. The
+    /// barrier is complete when every worker acked in time.
+    fn barrier<T>(&self, mark: impl Fn(Sender<T>) -> WorkerMsg) -> (Vec<T>, bool) {
+        let (ack_tx, ack_rx) = unbounded();
+        let marked = self
+            .workers
+            .values()
+            .filter(|h| h.tx.send(mark(ack_tx.clone())).is_ok())
+            .count();
         drop(ack_tx);
-        let mut sum = WorkerWindow::default();
-        let mut complete = expected == self.workers.len();
-        for _ in 0..expected {
-            match ack_rx.recv_timeout(ACK_TIMEOUT) {
-                Ok(w) => Self::fold(&mut sum, &w),
-                Err(_) => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        (sum, complete)
+        let acks: Vec<T> = (0..marked)
+            .map_while(|_| ack_rx.recv_timeout(ACK_TIMEOUT).ok())
+            .collect();
+        let complete = acks.len() == self.workers.len();
+        (acks, complete)
     }
 }
 
@@ -198,18 +142,17 @@ impl ExecutionBackend for LiveBackend {
         self.now_ns()
     }
 
-    fn server_up(&mut self, server: u32, vcpus: u32) {
+    fn server_up(&mut self, server: u32, _vcpus: u32) {
         // Re-announcing a live server (initial boot paths overlap with
         // reboot paths upstream) must not restart its carrier.
         if self.workers.contains_key(&server) {
             return;
         }
-        let _ = vcpus;
-        let (tx, rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
+        let (tx, rx) = unbounded();
         let epoch = self.epoch;
         let join = std::thread::Builder::new()
             .name(format!("plasma-srv-{server}"))
-            .spawn(move || worker_loop(epoch, rx))
+            .spawn(move || worker_loop(epoch, server, rx))
             .expect("spawn server worker thread");
         self.workers.insert(server, WorkerHandle { tx, join });
         self.stats.workers_spawned += 1;
@@ -219,186 +162,91 @@ impl ExecutionBackend for LiveBackend {
         let Some(handle) = self.workers.remove(&server) else {
             return;
         };
-        // Drain the worker's partial window before stopping it, so the next
+        // Drain the worker's partial window before it exits, so the next
         // barrier still balances: a crashed server's delivered messages were
         // delivered, even though the server is gone by window close.
         let (ack_tx, ack_rx) = unbounded();
-        if handle
-            .tx
-            .send(WorkerMsg::WindowMark {
-                generation: u64::MAX,
-                ack: ack_tx,
-            })
-            .is_ok()
-        {
+        if handle.tx.send(WorkerMsg::Retire { ack: ack_tx }).is_ok() {
             if let Ok(w) = ack_rx.recv_timeout(ACK_TIMEOUT) {
-                Self::fold(&mut self.retired, &w);
+                self.tally.retire(&w);
             }
         }
-        let _ = handle.tx.send(WorkerMsg::Shutdown);
+        drop(handle.tx);
         let _ = handle.join.join();
     }
 
     fn transmit(&mut self, d: Delivery) {
         let sent_ns = self.now_ns();
-        if let Some(handle) = self.workers.get(&d.server) {
-            if handle
-                .tx
-                .send(WorkerMsg::Deliver {
-                    bytes: d.bytes,
-                    remote: d.remote,
-                    sent_ns,
-                })
-                .is_ok()
-            {
-                self.sent_deliveries += 1;
-            }
+        if self.send(d.server, WorkerMsg::Deliver { sent_ns }) {
+            self.tally.sent.deliveries += 1;
         }
         self.stats.deliveries += 1;
     }
 
     fn execute(&mut self, e: Execution) {
-        if let Some(handle) = self.workers.get(&e.server) {
-            if handle
-                .tx
-                .send(WorkerMsg::Execute {
-                    service_ns: e.service_ns,
-                })
-                .is_ok()
-            {
-                self.sent_executions += 1;
-            }
+        let service_ns = e.service_ns;
+        if self.send(e.server, WorkerMsg::Execute { service_ns }) {
+            self.tally.sent.executions += 1;
         }
         self.stats.executions += 1;
     }
 
     fn window_close(&mut self, generation: u64) -> WindowReport {
-        let (mut sum, complete) = self.collect_windows(generation);
-        Self::fold(&mut sum, &self.retired.clone());
-        self.retired = WorkerWindow::default();
-        let matched = complete
-            && sum.deliveries == self.sent_deliveries
-            && sum.executions == self.sent_executions
-            && sum.reports == self.sent_reports
-            && sum.queries == self.sent_queries
-            && sum.replies == self.recv_replies
-            && sum.decisions == self.sent_decisions;
-        let report = WindowReport {
-            generation,
-            deliveries: sum.deliveries,
-            executions: sum.executions,
-            matched,
-        };
-        self.stats.windows_closed += 1;
-        if !matched {
-            self.stats.window_mismatches += 1;
+        let (acks, complete) = self.barrier(|ack| WorkerMsg::WindowMark { ack });
+        let mut sum = WindowCounters::default();
+        for w in &acks {
+            sum.fold(w);
         }
-        self.stats.worker_busy_ns += sum.busy_ns;
-        self.stats.channel_ns_total += sum.channel_ns_total;
-        self.stats.channel_ns_max = self.stats.channel_ns_max.max(sum.channel_ns_max);
-        self.stats.channel_samples += sum.channel_samples;
-        self.sent_deliveries = 0;
-        self.sent_executions = 0;
-        self.sent_reports = 0;
-        self.sent_queries = 0;
-        self.recv_replies = 0;
-        self.sent_decisions = 0;
-        report
+        self.tally.close(generation, sum, complete, &mut self.stats)
     }
 
     fn round_barrier(&mut self, _round: u64) {
-        let (ack_tx, ack_rx): (Sender<u32>, Receiver<u32>) = unbounded();
-        let mut expected = 0usize;
-        for handle in self.workers.values() {
-            if handle
-                .tx
-                .send(WorkerMsg::RoundMark {
-                    ack: ack_tx.clone(),
-                })
-                .is_ok()
-            {
-                expected += 1;
-            }
-        }
-        drop(ack_tx);
-        for _ in 0..expected {
-            if ack_rx.recv_timeout(ACK_TIMEOUT).is_err() {
-                self.stats.window_mismatches += 1;
-                break;
-            }
+        let (_, complete) = self.barrier(|ack| WorkerMsg::RoundMark { ack });
+        if !complete {
+            self.stats.window_mismatches += 1;
         }
         self.stats.rounds += 1;
     }
 
     fn publish_report(&mut self, generation: u64, report: &ServerReport) {
-        if let Some(handle) = self.workers.get(&report.server) {
-            if handle
-                .tx
-                .send(WorkerMsg::Report {
-                    generation,
-                    report: *report,
-                })
-                .is_ok()
-            {
-                self.sent_reports += 1;
-            }
+        let report = *report;
+        if self.send(report.server, WorkerMsg::Report { generation, report }) {
+            self.tally.sent.reports += 1;
         }
         self.stats.control_reports += 1;
     }
 
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply> {
-        match msg {
-            ControlMsg::Query(q) => {
-                self.stats.control_queries += 1;
-                // Route the query to each in-scope worker with its own ack
-                // channel and collect in scope order, so the reply sequence
-                // is deterministic regardless of thread interleaving.
-                let mut pending = Vec::new();
-                for &server in &q.scope {
-                    let Some(handle) = self.workers.get(&server) else {
-                        continue;
-                    };
-                    let (ack_tx, ack_rx): (Sender<ControlReply>, Receiver<ControlReply>) =
-                        unbounded();
-                    if handle
-                        .tx
-                        .send(WorkerMsg::Query {
-                            query: q.clone(),
-                            ack: ack_tx,
-                        })
-                        .is_ok()
-                    {
-                        self.sent_queries += 1;
-                        pending.push(ack_rx);
-                    }
-                }
-                let mut replies = Vec::with_capacity(pending.len());
-                for rx in pending {
-                    if let Ok(reply) = rx.recv_timeout(ACK_TIMEOUT) {
-                        self.recv_replies += 1;
-                        replies.push(reply);
-                    }
-                }
-                self.stats.control_replies += replies.len() as u64;
-                replies
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply> {
+        self.stats.control_queries += 1;
+        // Route the query to each in-scope worker with its own ack channel
+        // and collect in scope order, so the reply sequence is
+        // deterministic regardless of thread interleaving.
+        let mut pending = Vec::new();
+        for &server in &query.scope {
+            let (ack, rx) = unbounded();
+            let query = query.clone();
+            if self.send(server, WorkerMsg::Query { query, ack }) {
+                self.tally.sent.queries += 1;
+                pending.push(rx);
             }
-            ControlMsg::Decision(d) => {
-                self.stats.control_decisions += 1;
-                for handle in self.workers.values() {
-                    if handle
-                        .tx
-                        .send(WorkerMsg::Decision {
-                            decision: d.clone(),
-                        })
-                        .is_ok()
-                    {
-                        self.sent_decisions += 1;
-                    }
-                }
-                Vec::new()
-            }
-            ControlMsg::Reply(_) => Vec::new(),
         }
+        let replies: Vec<ControlReply> = pending
+            .iter()
+            .filter_map(|rx| rx.recv_timeout(ACK_TIMEOUT).ok())
+            .collect();
+        self.tally.sent.replies += replies.len() as u64;
+        self.stats.control_replies += replies.len() as u64;
+        replies
+    }
+
+    fn decide(&mut self, _decision: &ControlDecision) {
+        self.stats.control_decisions += 1;
+        let reached = self
+            .workers
+            .values()
+            .filter(|h| h.tx.send(WorkerMsg::Decision).is_ok())
+            .count();
+        self.tally.sent.decisions += reached as u64;
     }
 
     fn stats(&self) -> BackendStats {
@@ -425,56 +273,33 @@ impl Drop for LiveBackend {
     }
 }
 
-/// The per-server worker: receive, account, ack barriers, answer queries
-/// from the report rows it holds (its own server's only, on this carrier).
-fn worker_loop(epoch: Instant, rx: Receiver<WorkerMsg>) {
-    let mut window = WorkerWindow::default();
-    let mut held: BTreeMap<u32, ServerReport> = BTreeMap::new();
-    let mut held_generation = 0u64;
+/// The per-server worker: a [`Lem`] hosting one server, fed over the
+/// worker's channel. It answers queries from its own server's report row.
+fn worker_loop(epoch: Instant, server: u32, rx: Receiver<WorkerMsg>) {
+    let mut lem = Lem::default();
+    lem.server_up(server);
     while let Ok(msg) = rx.recv() {
         match msg {
-            WorkerMsg::Deliver {
-                bytes,
-                remote,
-                sent_ns,
-            } => {
-                let _ = (bytes, remote);
+            WorkerMsg::Deliver { sent_ns } => {
                 let latency = (epoch.elapsed().as_nanos() as u64).saturating_sub(sent_ns);
-                window.deliveries += 1;
-                window.channel_ns_total += latency;
-                window.channel_ns_max = window.channel_ns_max.max(latency);
-                window.channel_samples += 1;
+                lem.deliver(server, Some(latency));
             }
-            WorkerMsg::Execute { service_ns } => {
-                window.executions += 1;
-                window.busy_ns += service_ns;
-            }
-            WorkerMsg::WindowMark { generation, ack } => {
-                let _ = generation;
-                let _ = ack.send(window);
-                window = WorkerWindow::default();
+            WorkerMsg::Execute { service_ns } => lem.execute(server, service_ns),
+            WorkerMsg::WindowMark { ack } => {
+                let _ = ack.send(lem.close_window());
             }
             WorkerMsg::RoundMark { ack } => {
-                let _ = ack.send(0);
+                let _ = ack.send(());
             }
-            WorkerMsg::Report { generation, report } => {
-                if generation != held_generation {
-                    held.clear();
-                    held_generation = generation;
-                }
-                held.insert(report.server, report);
-                window.reports += 1;
-            }
+            WorkerMsg::Report { generation, report } => lem.report(generation, report),
             WorkerMsg::Query { query, ack } => {
-                window.queries += 1;
-                window.replies += 1;
-                let _ = ack.send(answer_query(held_generation, &held, &query));
+                let _ = ack.send(lem.query(&query));
             }
-            WorkerMsg::Decision { decision } => {
-                let _ = decision;
-                window.decisions += 1;
+            WorkerMsg::Decision => lem.decision(),
+            WorkerMsg::Retire { ack } => {
+                let _ = ack.send(lem.close_window());
+                break;
             }
-            WorkerMsg::Shutdown => break,
         }
     }
 }

@@ -8,9 +8,7 @@
 //! to the run: no RNG draws, no clock reads, no report scalars — a run with
 //! this backend is byte-identical to one predating the backend layer.
 
-use std::collections::BTreeMap;
-
-use crate::control::{answer_query, ControlMsg, ControlReply, ServerReport};
+use crate::control::{ControlDecision, ControlQuery, ControlReply, HeldReports, ServerReport};
 use crate::{BackendKind, BackendStats, Delivery, Execution, ExecutionBackend, WindowReport};
 
 /// Adapter wrapping the discrete-event loop. See the [module docs](self).
@@ -20,12 +18,9 @@ pub struct SimBackend {
     window_deliveries: u64,
     window_executions: u64,
     live_servers: u64,
-    /// Held LEM report rows, one per server, for `report_generation`.
-    /// Under sim the coordinator *is* every LEM, so one map answers
-    /// queries inline — the audit-only twin of the per-worker state the
-    /// live and net carriers hold.
-    reports: BTreeMap<u32, ServerReport>,
-    report_generation: u64,
+    /// Held LEM report rows, one per server. Under sim the coordinator
+    /// *is* every LEM, so one set answers queries inline.
+    held: HeldReports,
 }
 
 impl SimBackend {
@@ -53,7 +48,7 @@ impl ExecutionBackend for SimBackend {
 
     fn server_down(&mut self, server: u32) {
         self.live_servers = self.live_servers.saturating_sub(1);
-        self.reports.remove(&server);
+        self.held.remove(server);
     }
 
     fn transmit(&mut self, d: Delivery) {
@@ -87,27 +82,18 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn publish_report(&mut self, generation: u64, report: &ServerReport) {
-        if generation != self.report_generation {
-            self.reports.clear();
-            self.report_generation = generation;
-        }
-        self.reports.insert(report.server, *report);
+        self.held.publish(generation, *report);
         self.stats.control_reports += 1;
     }
 
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply> {
-        match msg {
-            ControlMsg::Query(q) => {
-                self.stats.control_queries += 1;
-                self.stats.control_replies += 1;
-                vec![answer_query(self.report_generation, &self.reports, q)]
-            }
-            ControlMsg::Decision(_) => {
-                self.stats.control_decisions += 1;
-                Vec::new()
-            }
-            ControlMsg::Reply(_) => Vec::new(),
-        }
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply> {
+        self.stats.control_queries += 1;
+        self.stats.control_replies += 1;
+        vec![self.held.answer(query)]
+    }
+
+    fn decide(&mut self, _decision: &ControlDecision) {
+        self.stats.control_decisions += 1;
     }
 
     fn stats(&self) -> BackendStats {

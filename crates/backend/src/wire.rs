@@ -1,7 +1,9 @@
 //! Wire encoding for the carriage types.
 //!
 //! The multi-process TCP backend (`plasma-net`) serializes every
-//! [`Delivery`] and [`Execution`] onto a hand-rolled binary wire format.
+//! [`Delivery`] and [`Execution`] — and the control rows and
+//! [`WindowCounters`] that ride beside them — onto a hand-rolled binary
+//! wire format.
 //! The codec lives here, next to the types themselves, so the carriage
 //! structs and their byte layout cannot drift apart; the frame layer on
 //! top (length prefix, version byte, message kinds) lives in `plasma-net`.
@@ -20,6 +22,7 @@
 //!   protocol contract and must not change under us when a dependency
 //!   changes its derive output.
 
+use crate::carrier::WindowCounters;
 use crate::control::{ControlDecision, ControlQuery, ControlReply, MigrationOrder, ServerReport};
 use crate::{Delivery, Execution};
 
@@ -185,6 +188,40 @@ impl Execution {
             server: c.u32()?,
             actor: c.u64()?,
             service_ns: c.u64()?,
+        })
+    }
+}
+
+impl WindowCounters {
+    /// Appends the wire encoding: ten `u64`s in field order
+    /// (`deliveries executions busy_ns latency_ns_total latency_ns_max
+    /// latency_samples reports queries replies decisions`).
+    pub fn wire_encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.deliveries);
+        put_u64(out, self.executions);
+        put_u64(out, self.busy_ns);
+        put_u64(out, self.latency_ns_total);
+        put_u64(out, self.latency_ns_max);
+        put_u64(out, self.latency_samples);
+        put_u64(out, self.reports);
+        put_u64(out, self.queries);
+        put_u64(out, self.replies);
+        put_u64(out, self.decisions);
+    }
+
+    /// Decodes counters from the cursor.
+    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
+        Ok(WindowCounters {
+            deliveries: c.u64()?,
+            executions: c.u64()?,
+            busy_ns: c.u64()?,
+            latency_ns_total: c.u64()?,
+            latency_ns_max: c.u64()?,
+            latency_samples: c.u64()?,
+            reports: c.u64()?,
+            queries: c.u64()?,
+            replies: c.u64()?,
+            decisions: c.u64()?,
         })
     }
 }

@@ -218,48 +218,33 @@ impl EvalFrame {
         Self::build(rt.snapshot_shared(), servers, type_names, fn_names)
     }
 
-    /// Captures [`ServerMeta`] rows for the running servers of `scope`,
-    /// reading utilization strictly from the runtime's current snapshot.
+    /// Captures [`ServerMeta`] rows for the running servers of `scope`
+    /// from the runtime's report rows ([`Runtime::server_report`]), the
+    /// one derivation of a server's row.
     ///
     /// A running server absent from the snapshot became ready after the
-    /// window closed; it reports zero utilization *and* zero actors so the
-    /// frame stays a pure function of one snapshot generation (mixing in
-    /// live residency counts would make same-generation frames disagree
+    /// window closed; its row carries zero utilization *and* zero actors so
+    /// the frame stays a pure function of one snapshot generation (mixing
+    /// in live residency counts would make same-generation frames disagree
     /// across backends and invalidate delta patching).
     fn server_metas(rt: &Runtime, scope: &[ServerId]) -> Vec<ServerMeta> {
         let snap = rt.snapshot();
-        let mut servers = Vec::with_capacity(scope.len());
-        for &sid in scope {
-            let server = rt.cluster().server(sid);
-            if !server.is_running() {
-                continue;
-            }
-            let inst = server.instance();
-            let (cpu, mem, net, actor_count) = match snap.server(sid) {
-                Some(s) => (s.usage.cpu(), s.usage.mem(), s.usage.net(), s.actor_count),
-                None => {
-                    debug_assert!(
-                        snap.generation == 0 || server.started_at() + inst.boot_delay >= snap.at,
-                        "running {sid:?} missing from generation {} although it \
-                         was ready before the window closed",
-                        snap.generation,
-                    );
-                    (0.0, 0.0, 0.0, 0)
-                }
-            };
-            servers.push(ServerMeta {
-                id: sid,
-                total_speed: inst.total_speed(),
-                vcpus: inst.vcpus,
-                mem_bytes: inst.mem_bytes,
-                net_bps: inst.net_bps,
-                cpu,
-                mem,
-                net,
-                actor_count,
-            });
-        }
-        servers
+        scope
+            .iter()
+            .filter(|&&sid| rt.cluster().server(sid).is_running())
+            .map(|&sid| {
+                let server = rt.cluster().server(sid);
+                debug_assert!(
+                    snap.server(sid).is_some()
+                        || snap.generation == 0
+                        || server.started_at() + server.instance().boot_delay >= snap.at,
+                    "running {sid:?} missing from generation {} although it \
+                     was ready before the window closed",
+                    snap.generation,
+                );
+                ServerMeta::from_report(&rt.server_report(sid))
+            })
+            .collect()
     }
 
     /// Builds a frame from pre-assembled parts (synthetic snapshots in

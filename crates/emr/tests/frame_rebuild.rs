@@ -8,7 +8,7 @@ use plasma_actor::logic::{ActorCtx, ClientCtx};
 use plasma_actor::message::Payload;
 use plasma_actor::{ActorId, ActorLogic, ClientLogic, Message, Runtime, RuntimeConfig};
 use plasma_cluster::InstanceType;
-use plasma_emr::view::{EvalCtx, EvalFrame};
+use plasma_emr::view::{EvalCtx, EvalFrame, ServerMeta};
 use plasma_sim::{SimDuration, SimTime};
 
 struct Worker {
@@ -70,7 +70,7 @@ fn observe(frame: &EvalFrame, rt: &Runtime) -> (u64, Vec<String>, Vec<(u64, u32,
     let actors = ctx
         .actors()
         .iter()
-        .map(|a| (a.actor.0 as u64, a.server.0, a.cpu_share))
+        .map(|a| (a.actor.0, a.server.0, a.cpu_share))
         .collect();
     (frame.generation(), servers, actors)
 }
@@ -154,4 +154,45 @@ fn advance_within_delta_window_matches_fresh_build() {
     assert!(frame.advance(&rt), "2 generations are within the cap");
     let fresh = EvalFrame::new(&rt);
     assert_eq!(observe(&frame, &rt), observe(&fresh, &rt));
+}
+
+/// A server that boots mid-window is missing from the latest snapshot; its
+/// frame row is the zero-usage, zero-actor row, bit-equal to the report row
+/// the runtime publishes for it — as is every other server's row.
+#[test]
+fn server_booted_mid_window_gets_the_published_zero_row() {
+    let mut rt = busy_world(RuntimeConfig {
+        seed: 14,
+        profile_window: SimDuration::from_secs(10),
+        ..RuntimeConfig::default()
+    });
+    rt.run_until(SimTime::from_secs(3));
+    let sid = rt
+        .request_server(InstanceType::m1_small())
+        .expect("room to grow");
+    // Ready at 3 s + the 45 s boot delay, inside the window closing at 50 s.
+    rt.run_until(SimTime::from_secs(49));
+    assert!(rt.cluster().server(sid).is_running());
+    assert!(rt.snapshot().server(sid).is_none(), "booted after the roll");
+
+    let frame = EvalFrame::new(&rt);
+    let bits = |m: &ServerMeta| {
+        (
+            m.id,
+            m.total_speed.to_bits(),
+            m.vcpus,
+            m.mem_bytes,
+            m.net_bps.to_bits(),
+            [m.cpu.to_bits(), m.mem.to_bits(), m.net.to_bits()],
+            m.actor_count,
+        )
+    };
+    let meta = frame.server(sid).expect("booted server in scope");
+    assert_eq!([meta.cpu, meta.mem, meta.net].map(f64::to_bits), [0; 3]);
+    assert_eq!(meta.actor_count, 0, "zero actors");
+    assert_eq!(frame.servers().len(), 3);
+    for m in frame.servers() {
+        let published = ServerMeta::from_report(&rt.server_report(m.id));
+        assert_eq!(bits(m), bits(&published), "{:?}", m.id);
+    }
 }

@@ -13,11 +13,11 @@
 //! through a buffered writer and only flushed at barriers, so carriage
 //! costs one syscall per ~64 KiB rather than one per message. Barriers are
 //! synchronous request/response: the coordinator flushes, writes the mark,
-//! then blocks (with a timeout) for each worker's ack, folds the returned
-//! window counters together with any partial windows drained from retired
-//! servers, and compares the total against its own send tally — any loss
-//! or duplication is a `window_mismatches` increment, gated to zero by the
-//! three-way parity suite.
+//! then blocks (with a timeout) for each worker's ack and hands the summed
+//! window counters to its `Tally`, which folds in any partial windows
+//! drained from retired servers and compares the total against what was
+//! sent — any loss or duplication is a `window_mismatches` increment,
+//! gated to zero by the three-way parity suite.
 //!
 //! Nothing a worker returns feeds back into logical scheduling; like the
 //! thread backend, the wire is a carrier and a measurement side-channel,
@@ -32,11 +32,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use plasma_backend::{
-    BackendKind, BackendStats, ControlMsg, ControlReply, Delivery, Execution, ExecutionBackend,
-    ServerReport, WindowReport,
+    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
+    ExecutionBackend, ServerReport, Tally, WindowCounters, WindowReport,
 };
 
-use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
+use crate::frame::{Frame, FrameBuffer, WIRE_VERSION};
 
 /// How long launch waits for all workers to connect and hello.
 const LAUNCH_TIMEOUT: Duration = Duration::from_secs(20);
@@ -200,12 +200,13 @@ struct Conn {
 }
 
 impl Conn {
-    /// Reads one frame, blocking up to the stream's read timeout.
+    /// Reads one frame and its encoded length, blocking up to the
+    /// stream's read timeout.
     fn read_frame(&mut self) -> std::io::Result<(Frame, u64)> {
-        let mut got = 0u64;
         loop {
+            let pending = self.rbuf.pending();
             match self.rbuf.next() {
-                Ok(Some(f)) => return Ok((f, got)),
+                Ok(Some(f)) => return Ok((f, (pending - self.rbuf.pending()) as u64)),
                 Ok(None) => {}
                 Err(e) => {
                     return Err(std::io::Error::new(
@@ -218,7 +219,6 @@ impl Conn {
             if n == 0 {
                 return Err(std::io::ErrorKind::UnexpectedEof.into());
             }
-            got += n as u64;
             self.rbuf.extend(&self.rchunk[..n]);
         }
     }
@@ -237,15 +237,7 @@ pub struct NetBackend {
     /// the thread backend's unknown-server semantics).
     up: BTreeSet<u32>,
     stats: BackendStats,
-    sent_deliveries: u64,
-    sent_executions: u64,
-    sent_reports: u64,
-    sent_queries: u64,
-    recv_qreplies: u64,
-    sent_decisions: u64,
-    /// Partial windows drained from servers retired mid-window; folded
-    /// into the next window barrier so it still balances.
-    retired: WindowCounters,
+    tally: Tally,
     /// Injected chaos transport delay stamped onto remote deliveries, ns.
     link_delay_ns: u64,
     /// Frames written since the last fully-acked barrier.
@@ -374,13 +366,7 @@ impl NetBackend {
             conns,
             up: BTreeSet::new(),
             stats,
-            sent_deliveries: 0,
-            sent_executions: 0,
-            sent_reports: 0,
-            sent_queries: 0,
-            recv_qreplies: 0,
-            sent_decisions: 0,
-            retired: WindowCounters::default(),
+            tally: Tally::default(),
             link_delay_ns: 0,
             inflight: 0,
             scratch: Vec::with_capacity(64),
@@ -441,8 +427,9 @@ impl NetBackend {
         }
     }
 
-    /// Reads one reply frame from `group`, accounting received bytes.
-    /// A failure (timeout, EOF, malformed frame) marks the conn dead.
+    /// Reads one reply frame from `group`, accounting its bytes (a query
+    /// reply's bytes count as control traffic too). A failure (timeout,
+    /// EOF, malformed frame) marks the conn dead.
     fn recv(&mut self, group: usize) -> Option<Frame> {
         let conn = &mut self.conns[group];
         if !conn.alive {
@@ -452,6 +439,9 @@ impl NetBackend {
             Ok((frame, bytes)) => {
                 self.stats.frames_received += 1;
                 self.stats.wire_bytes_received += bytes;
+                if matches!(frame, Frame::QReply { .. }) {
+                    self.stats.control_wire_bytes += bytes;
+                }
                 Some(frame)
             }
             Err(_) => {
@@ -525,7 +515,7 @@ impl ExecutionBackend for NetBackend {
             }) = self.recv(group)
             {
                 if echoed == server {
-                    self.retired.fold(&counters);
+                    self.tally.retire(&counters);
                 }
             }
         }
@@ -542,7 +532,7 @@ impl ExecutionBackend for NetBackend {
                     delay_ns,
                 },
             ) {
-                self.sent_deliveries += 1;
+                self.tally.sent.deliveries += 1;
             }
         }
         self.stats.deliveries += 1;
@@ -552,47 +542,16 @@ impl ExecutionBackend for NetBackend {
         if self.up.contains(&e.server) {
             let group = self.group_of(e.server);
             if self.send(group, &Frame::Execute { execution: e }) {
-                self.sent_executions += 1;
+                self.tally.sent.executions += 1;
             }
         }
         self.stats.executions += 1;
     }
 
     fn window_close(&mut self, generation: u64) -> WindowReport {
-        let (mut sum, complete) = self.collect_windows(generation);
-        sum.fold(&self.retired.clone());
-        self.retired = WindowCounters::default();
-        let matched = complete
-            && sum.deliveries == self.sent_deliveries
-            && sum.executions == self.sent_executions
-            && sum.reports == self.sent_reports
-            && sum.queries == self.sent_queries
-            && sum.replies == self.recv_qreplies
-            && sum.decisions == self.sent_decisions;
-        let report = WindowReport {
-            generation,
-            deliveries: sum.deliveries,
-            executions: sum.executions,
-            matched,
-        };
-        self.stats.windows_closed += 1;
-        if !matched {
-            self.stats.window_mismatches += 1;
-        }
-        self.stats.worker_busy_ns += sum.busy_ns;
-        // Injected chaos delay is the net transport's deterministic
-        // latency side-channel (there is no shared wall clock between
-        // processes to measure real one-way latency against).
-        self.stats.channel_ns_total += sum.delay_ns_total;
-        self.stats.channel_ns_max = self.stats.channel_ns_max.max(sum.delay_ns_max);
-        self.stats.channel_samples += sum.delayed;
-        self.sent_deliveries = 0;
-        self.sent_executions = 0;
-        self.sent_reports = 0;
-        self.sent_queries = 0;
-        self.recv_qreplies = 0;
-        self.sent_decisions = 0;
-        if matched {
+        let (sum, complete) = self.collect_windows(generation);
+        let report = self.tally.close(generation, sum, complete, &mut self.stats);
+        if report.matched {
             self.inflight = 0;
         }
         report
@@ -636,70 +595,58 @@ impl ExecutionBackend for NetBackend {
                     report: *report,
                 },
             ) {
-                self.sent_reports += 1;
+                self.tally.sent.reports += 1;
             }
         }
         self.stats.control_reports += 1;
     }
 
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply> {
-        match msg {
-            ControlMsg::Query(q) => {
-                self.stats.control_queries += 1;
-                // One copy of the query per group owning an in-scope live
-                // server, in ascending group order; QReplies are read back
-                // synchronously in the same order. TCP FIFO plus
-                // one-reply-per-query makes the pairing deterministic, so
-                // reply order never depends on worker scheduling.
-                let mut groups: BTreeSet<usize> = BTreeSet::new();
-                for s in &q.scope {
-                    if self.up.contains(s) {
-                        groups.insert(self.group_of(*s));
-                    }
-                }
-                let mut sent: Vec<usize> = Vec::with_capacity(groups.len());
-                for &g in &groups {
-                    if self.send(g, &Frame::Query { query: q.clone() }) {
-                        self.sent_queries += 1;
-                        sent.push(g);
-                    }
-                }
-                self.flush_all();
-                let mut replies = Vec::with_capacity(sent.len());
-                for g in sent {
-                    if let Some(Frame::QReply { reply }) = self.recv(g) {
-                        // Count the reply's exact wire footprint (recv's
-                        // byte tally is per-read, not per-frame).
-                        self.scratch.clear();
-                        Frame::QReply {
-                            reply: reply.clone(),
-                        }
-                        .encode(&mut self.scratch);
-                        self.stats.control_wire_bytes += self.scratch.len() as u64;
-                        self.recv_qreplies += 1;
-                        self.stats.control_replies += 1;
-                        replies.push(reply);
-                    }
-                }
-                replies
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply> {
+        self.stats.control_queries += 1;
+        // One copy of the query per group owning an in-scope live server,
+        // in ascending group order; QReplies are read back synchronously
+        // in the same order. TCP FIFO plus one-reply-per-query makes the
+        // pairing deterministic, so reply order never depends on worker
+        // scheduling.
+        let groups: BTreeSet<usize> = query
+            .scope
+            .iter()
+            .filter(|s| self.up.contains(s))
+            .map(|&s| self.group_of(s))
+            .collect();
+        let frame = Frame::Query {
+            query: query.clone(),
+        };
+        let mut sent: Vec<usize> = Vec::with_capacity(groups.len());
+        for g in groups {
+            if self.send(g, &frame) {
+                self.tally.sent.queries += 1;
+                sent.push(g);
             }
-            ControlMsg::Decision(d) => {
-                self.stats.control_decisions += 1;
-                // Decisions are broadcast: every group learns the round's
-                // outcome even if none of its servers moved.
-                for g in 0..self.conns.len() {
-                    if self.send(
-                        g,
-                        &Frame::Decision {
-                            decision: d.clone(),
-                        },
-                    ) {
-                        self.sent_decisions += 1;
-                    }
-                }
-                Vec::new()
+        }
+        self.flush_all();
+        let mut replies = Vec::with_capacity(sent.len());
+        for g in sent {
+            if let Some(Frame::QReply { reply }) = self.recv(g) {
+                replies.push(reply);
             }
-            ControlMsg::Reply(_) => Vec::new(),
+        }
+        self.tally.sent.replies += replies.len() as u64;
+        self.stats.control_replies += replies.len() as u64;
+        replies
+    }
+
+    fn decide(&mut self, decision: &ControlDecision) {
+        self.stats.control_decisions += 1;
+        // Decisions are broadcast: every group learns the round's outcome
+        // even if none of its servers moved.
+        let frame = Frame::Decision {
+            decision: decision.clone(),
+        };
+        for g in 0..self.conns.len() {
+            if self.send(g, &frame) {
+                self.tally.sent.decisions += 1;
+            }
         }
     }
 

@@ -22,8 +22,9 @@
 //! checks — any byte string that decodes re-encodes to itself.
 
 use plasma_backend::wire::{put_u32, put_u64, DecodeError, WireCursor};
-use plasma_backend::ServerReport;
-use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Execution};
+use plasma_backend::{
+    ControlDecision, ControlQuery, ControlReply, Delivery, Execution, ServerReport, WindowCounters,
+};
 
 /// Protocol version stamped into (and required of) every frame, and
 /// carried explicitly in the [`Frame::Hello`] handshake so a version
@@ -39,76 +40,6 @@ pub const WIRE_VERSION: u8 = 3;
 /// server), so the cap is sized for hundreds of servers; it exists to
 /// bound allocation on garbage, not to constrain real traffic.
 pub const MAX_FRAME_LEN: usize = 64 * 1024;
-
-/// One worker-side accounting bucket: what a worker carried for one server
-/// within the current profiling window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounters {
-    /// Deliveries carried.
-    pub deliveries: u64,
-    /// Services carried.
-    pub executions: u64,
-    /// Simulated service time carried, ns.
-    pub busy_ns: u64,
-    /// Injected (chaos link-degradation) transport delay, summed, ns.
-    pub delay_ns_total: u64,
-    /// Worst injected transport delay on one delivery, ns.
-    pub delay_ns_max: u64,
-    /// Deliveries that carried a nonzero injected delay.
-    pub delayed: u64,
-    /// LEM report rows carried.
-    pub reports: u64,
-    /// Control queries answered.
-    pub queries: u64,
-    /// Query replies returned.
-    pub replies: u64,
-    /// Round decisions received.
-    pub decisions: u64,
-}
-
-impl WindowCounters {
-    /// Folds another bucket into this one.
-    pub fn fold(&mut self, w: &WindowCounters) {
-        self.deliveries += w.deliveries;
-        self.executions += w.executions;
-        self.busy_ns += w.busy_ns;
-        self.delay_ns_total += w.delay_ns_total;
-        self.delay_ns_max = self.delay_ns_max.max(w.delay_ns_max);
-        self.delayed += w.delayed;
-        self.reports += w.reports;
-        self.queries += w.queries;
-        self.replies += w.replies;
-        self.decisions += w.decisions;
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.deliveries);
-        put_u64(out, self.executions);
-        put_u64(out, self.busy_ns);
-        put_u64(out, self.delay_ns_total);
-        put_u64(out, self.delay_ns_max);
-        put_u64(out, self.delayed);
-        put_u64(out, self.reports);
-        put_u64(out, self.queries);
-        put_u64(out, self.replies);
-        put_u64(out, self.decisions);
-    }
-
-    fn decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
-        Ok(WindowCounters {
-            deliveries: c.u64()?,
-            executions: c.u64()?,
-            busy_ns: c.u64()?,
-            delay_ns_total: c.u64()?,
-            delay_ns_max: c.u64()?,
-            delayed: c.u64()?,
-            reports: c.u64()?,
-            queries: c.u64()?,
-            replies: c.u64()?,
-            decisions: c.u64()?,
-        })
-    }
-}
 
 /// Message kinds. Coordinator→worker kinds sit below `0x80`; worker→
 /// coordinator replies sit at `0x80 |` their trigger, so a hex dump reads
@@ -290,7 +221,7 @@ impl Frame {
             Frame::ServerRetired { server, counters } => {
                 out.push(kind::SERVER_RETIRED);
                 put_u32(out, *server);
-                counters.encode(out);
+                counters.wire_encode(out);
             }
             Frame::WindowAck {
                 generation,
@@ -298,7 +229,7 @@ impl Frame {
             } => {
                 out.push(kind::WINDOW_ACK);
                 put_u64(out, *generation);
-                counters.encode(out);
+                counters.wire_encode(out);
             }
             Frame::RoundAck { round } => {
                 out.push(kind::ROUND_ACK);
@@ -382,11 +313,11 @@ impl Frame {
             },
             kind::SERVER_RETIRED => Frame::ServerRetired {
                 server: c.u32()?,
-                counters: WindowCounters::decode(&mut c)?,
+                counters: WindowCounters::wire_decode(&mut c)?,
             },
             kind::WINDOW_ACK => Frame::WindowAck {
                 generation: c.u64()?,
-                counters: WindowCounters::decode(&mut c)?,
+                counters: WindowCounters::wire_decode(&mut c)?,
             },
             kind::ROUND_ACK => Frame::RoundAck { round: c.u64()? },
             kind::QREPLY => Frame::QReply {
@@ -546,9 +477,9 @@ mod tests {
                     deliveries: 1,
                     executions: 1,
                     busy_ns: 42_000,
-                    delay_ns_total: 1_500_000,
-                    delay_ns_max: 1_500_000,
-                    delayed: 1,
+                    latency_ns_total: 1_500_000,
+                    latency_ns_max: 1_500_000,
+                    latency_samples: 1,
                     reports: 1,
                     queries: 1,
                     replies: 1,

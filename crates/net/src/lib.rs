@@ -26,13 +26,14 @@
 //!   message kinds, strict decode, and [`FrameBuffer`] reassembly over
 //!   torn reads. Field-level codecs for the carriage types live in
 //!   `plasma_backend::wire` so the types and their encoding stay together.
-//! - [`worker`] — the `plasma-server` loop: per-server accounting buckets
-//!   and barrier acks. The binary itself is a thin wrapper over
-//!   [`worker::run`].
+//! - [`worker`] — the `plasma-server` loop: decodes frames into calls on a
+//!   `plasma_backend::Lem` (the same worker-side LEM the thread backend
+//!   runs) and writes barrier acks and query replies back. The binary
+//!   itself is a thin wrapper over [`worker::run`].
 //! - [`NetBackend`] — the coordinator side: spawns and addresses workers,
-//!   multiplexes frames over per-group connections, drains retired
-//!   carriers, and preserves the exactly-once window-close and
-//!   round-barrier semantics of the thread backend.
+//!   multiplexes frames over per-group connections, and checks each
+//!   window against a `plasma_backend::Tally`, exactly as the thread
+//!   backend does.
 
 pub mod frame;
 pub mod worker;
@@ -40,4 +41,4 @@ pub mod worker;
 mod backend;
 
 pub use backend::{locate_worker, NetBackend, NetConfig};
-pub use frame::{Frame, FrameBuffer, WindowCounters, MAX_FRAME_LEN, WIRE_VERSION};
+pub use frame::{Frame, FrameBuffer, MAX_FRAME_LEN, WIRE_VERSION};

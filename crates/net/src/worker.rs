@@ -1,13 +1,15 @@
 //! The `plasma-server` worker loop: one process, one server group.
 //!
 //! A worker is the process-level analogue of `LiveBackend`'s per-server
-//! thread: it connects back to the coordinator, announces its group with a
-//! [`Frame::Hello`], then services the coordinator's frame stream — opening
-//! per-server accounting buckets on `ServerUp`, tallying `Deliver`/
-//! `Execute` carriage, and answering window/round barriers over the same
-//! TCP connection. Because TCP is FIFO, a barrier ack proves every frame
-//! written before the mark was received before it — the same exactly-once
-//! argument the thread backend makes with channel markers.
+//! thread, and runs the same worker-side [`Lem`]: it connects back to the
+//! coordinator, announces its group with a [`Frame::Hello`], then turns
+//! each frame of the coordinator's stream into one `Lem` call — opening a
+//! server's bucket on `ServerUp`, counting `Deliver`/`Execute` carriage,
+//! holding `Report` rows and answering `Query` from them — and answers
+//! window/round barriers over the same TCP connection. Because TCP is
+//! FIFO, a barrier ack proves every frame written before the mark was
+//! received before it — the same exactly-once argument the thread backend
+//! makes with channel markers.
 //!
 //! A worker owns no policy and no clock authority: it counts what it is
 //! handed and echoes barriers. When the coordinator's connection closes
@@ -15,14 +17,13 @@
 //! `plasma-server` process would mean this invariant broke, which the
 //! `net-parity` CI job checks for explicitly.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use plasma_backend::control::{answer_query, ServerReport};
 use plasma_backend::wire::DecodeError;
+use plasma_backend::Lem;
 
-use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
+use crate::frame::{Frame, FrameBuffer, WIRE_VERSION};
 
 /// How the worker loop ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,82 +67,43 @@ pub fn run(addr: &str, group: u32) -> std::io::Result<WorkerExit> {
 
     let mut fb = FrameBuffer::new();
     let mut chunk = [0u8; 16 * 1024];
-    // Per-server window buckets. BTreeMap so sums fold in a deterministic
-    // order (the sums are commutative anyway, but determinism is the house
-    // style).
-    let mut servers: BTreeMap<u32, WindowCounters> = BTreeMap::new();
-    // Group-level control accounting (queries are per-group, not
-    // per-server), folded into every window ack alongside the buckets.
-    let mut ctrl = WindowCounters::default();
-    // Held LEM report rows for `held_generation`, answered on Query.
-    let mut held: BTreeMap<u32, ServerReport> = BTreeMap::new();
-    let mut held_generation = 0u64;
+    let mut lem = Lem::default();
     let mut reply = Vec::with_capacity(64);
 
     loop {
         while let Some(frame) = fb.next().map_err(decode_failure)? {
             reply.clear();
             match frame {
-                Frame::ServerUp { server, vcpus } => {
-                    let _ = vcpus;
-                    servers.entry(server).or_default();
-                }
+                Frame::ServerUp { server, .. } => lem.server_up(server),
                 Frame::ServerDown { server } => {
-                    let counters = servers.remove(&server).unwrap_or_default();
-                    held.remove(&server);
+                    let counters = lem.server_down(server);
                     Frame::ServerRetired { server, counters }.encode(&mut reply);
                 }
                 Frame::Deliver { delivery, delay_ns } => {
-                    let w = servers.entry(delivery.server).or_default();
-                    w.deliveries += 1;
-                    if delay_ns > 0 {
-                        w.delayed += 1;
-                        w.delay_ns_total += delay_ns;
-                        w.delay_ns_max = w.delay_ns_max.max(delay_ns);
-                    }
+                    // The injected chaos delay is this carrier's latency
+                    // sample; fault-free deliveries carry none.
+                    lem.deliver(delivery.server, (delay_ns > 0).then_some(delay_ns));
                 }
                 Frame::Execute { execution } => {
-                    let w = servers.entry(execution.server).or_default();
-                    w.executions += 1;
-                    w.busy_ns += execution.service_ns;
+                    lem.execute(execution.server, execution.service_ns);
                 }
                 Frame::WindowMark { generation } => {
-                    let mut sum = WindowCounters::default();
-                    for w in servers.values_mut() {
-                        sum.fold(w);
-                        *w = WindowCounters::default();
-                    }
-                    sum.fold(&ctrl);
-                    ctrl = WindowCounters::default();
+                    let counters = lem.close_window();
                     Frame::WindowAck {
                         generation,
-                        counters: sum,
+                        counters,
                     }
                     .encode(&mut reply);
                 }
                 Frame::RoundMark { round } => {
                     Frame::RoundAck { round }.encode(&mut reply);
                 }
-                Frame::Report { generation, report } => {
-                    if generation != held_generation {
-                        held.clear();
-                        held_generation = generation;
-                    }
-                    servers.entry(report.server).or_default().reports += 1;
-                    held.insert(report.server, report);
+                Frame::Report { generation, report } => lem.report(generation, report),
+                Frame::Query { query } => Frame::QReply {
+                    reply: lem.query(&query),
                 }
-                Frame::Query { query } => {
-                    ctrl.queries += 1;
-                    ctrl.replies += 1;
-                    Frame::QReply {
-                        reply: answer_query(held_generation, &held, &query),
-                    }
-                    .encode(&mut reply);
-                }
-                Frame::Decision { decision } => {
-                    let _ = decision;
-                    ctrl.decisions += 1;
-                }
+                .encode(&mut reply),
+                Frame::Decision { .. } => lem.decision(),
                 Frame::Shutdown => return Ok(WorkerExit::Shutdown),
                 // Coordinator never sends worker->coordinator kinds or a
                 // second Hello; receiving one means the peer is confused.

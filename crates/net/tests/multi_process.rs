@@ -117,7 +117,7 @@ fn retired_server_carriage_folds_into_next_window() {
 /// balances with control frames in flight.
 #[test]
 fn control_queries_cross_processes_and_balance_windows() {
-    use plasma_backend::{ControlDecision, ControlMsg, ControlQuery, MigrationOrder, ServerReport};
+    use plasma_backend::{ControlDecision, ControlQuery, MigrationOrder, ServerReport};
     let mut b = NetBackend::launch(config(2)).expect("launch workers");
     b.server_up(0, 2);
     b.server_up(1, 2);
@@ -142,7 +142,7 @@ fn control_queries_cross_processes_and_balance_windows() {
         generation: 7,
         scope: vec![1, 0],
     };
-    let replies = b.control(&ControlMsg::Query(q.clone()));
+    let replies = b.query(&q);
     assert_eq!(
         replies.len(),
         2,
@@ -163,7 +163,7 @@ fn control_queries_cross_processes_and_balance_windows() {
         }
     }
     assert_eq!(merged, vec![r1, r0]);
-    let out = b.control(&ControlMsg::Decision(ControlDecision {
+    b.decide(&ControlDecision {
         round: 1,
         grow: 1,
         shrink: 0,
@@ -172,8 +172,7 @@ fn control_queries_cross_processes_and_balance_windows() {
             src: 0,
             dst: 1,
         }],
-    }));
-    assert!(out.is_empty());
+    });
     let w = b.window_close(1);
     assert!(
         w.matched,

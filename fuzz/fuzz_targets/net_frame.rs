@@ -31,8 +31,9 @@ use std::path::PathBuf;
 
 use plasma_backend::{
     ControlDecision, ControlQuery, ControlReply, Delivery, Execution, MigrationOrder, ServerReport,
+    WindowCounters,
 };
-use plasma_net::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
+use plasma_net::{Frame, FrameBuffer, WIRE_VERSION};
 
 /// Decodes `bytes` as a whole-buffer frame stream: the exact frames, then
 /// whether the stream ended in an error (vs. an incomplete tail).
@@ -92,9 +93,9 @@ fn gen_corpus(dir: &PathBuf) {
         deliveries: 10,
         executions: 9,
         busy_ns: 9_000,
-        delay_ns_total: 10_000,
-        delay_ns_max: 5_000,
-        delayed: 2,
+        latency_ns_total: 10_000,
+        latency_ns_max: 5_000,
+        latency_samples: 2,
         reports: 2,
         queries: 1,
         replies: 1,
